@@ -65,7 +65,6 @@ if str(REPO_ROOT / "src") not in sys.path:
     sys.path.insert(0, str(REPO_ROOT / "src"))
 
 import repro.functional.trace as trace_mod  # noqa: E402
-from repro.core.kernel import get_kernel  # noqa: E402
 from repro.experiments import diskcache  # noqa: E402
 from repro.functional import traceio  # noqa: E402
 from repro.functional.trace import TraceSoA  # noqa: E402
@@ -248,7 +247,6 @@ def run_benchmark(
         "unit": "KIPS (thousand simulated instructions / second)",
         "scale": scale,
         "rounds": rounds,
-        "kernel": get_kernel().name,
         "baseline_kips": BASELINE_KIPS,
         "current_kips": current,
         "speedup": speedup,
@@ -413,8 +411,8 @@ def append_history(payload: dict, timestamp: str | None) -> list:
     """The ``history`` array for the fresh payload: every entry recorded
     in the existing BENCH_perf.json plus one for this run.
 
-    Each entry is the measurement summary (timestamp, kernel backend,
-    per-point KIPS, speedups) — the full trajectory across PRs stays
+    Each entry is the measurement summary (timestamp, per-point KIPS,
+    speedups) — the full trajectory across PRs stays
     machine-readable instead of being overwritten by each rewrite.  The
     timestamp comes from the ``--timestamp`` CLI arg (e.g.
     ``--timestamp "$(date -u +%Y-%m-%dT%H:%M:%SZ)"``) so the harness
@@ -436,7 +434,6 @@ def append_history(payload: dict, timestamp: str | None) -> list:
     history.append(
         {
             "timestamp": timestamp,
-            "kernel": payload["kernel"],
             "current_kips": payload["current_kips"],
             "speedup": payload["speedup"],
             "min_speedup": payload["min_speedup"],

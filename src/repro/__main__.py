@@ -68,34 +68,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import warnings
 
 from . import api
 from .analysis import format_table, suite_rows
 from .experiments import diskcache
 from .observe import EVENT_GROUPS, EVENT_KINDS
 from .workloads import ALL_BENCHMARKS, SPEC_FP, SPEC_INT
-
-
-def __getattr__(name: str):
-    """Deprecation shim: ``FIGURE_RUNNERS`` is now the FigureSpec registry.
-
-    The old CLI carried figures as ``{name: (rows_fn, title, points_fn)}``
-    tuples; drivers should migrate to
-    :data:`repro.experiments.registry.FIGURES`.
-    """
-    if name == "FIGURE_RUNNERS":
-        warnings.warn(
-            "repro.__main__.FIGURE_RUNNERS is deprecated; use "
-            "repro.experiments.registry.FIGURES (FigureSpec objects)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return {
-            spec.name: (spec.rows, spec.title, spec.points)
-            for spec in api.FIGURES.values()
-        }
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _print_rows(title: str, rows) -> None:
@@ -608,14 +586,6 @@ def main(argv=None) -> int:
         prog="python -m repro",
         description="Speculative Dynamic Vectorization (ISCA 2002) reproduction",
     )
-    parser.add_argument(
-        "--kernel",
-        choices=("python", "numpy"),
-        default=None,
-        help="batch-evaluation backend for this process (default: "
-        "$REPRO_KERNEL or python; results are bit-identical either way, "
-        "see docs/PERFORMANCE.md)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("figures", help="regenerate the paper's figures")
@@ -826,15 +796,6 @@ def main(argv=None) -> int:
     p.set_defaults(fn=cmd_list)
 
     args = parser.parse_args(argv)
-    if args.kernel is not None:
-        import os
-
-        from .core.kernel import set_kernel
-
-        # The env var too, so --jobs worker processes (spawn-safe) and
-        # any subprocesses inherit the same backend choice.
-        os.environ["REPRO_KERNEL"] = args.kernel
-        set_kernel(args.kernel)
     return args.fn(args)
 
 

@@ -56,7 +56,6 @@ if TYPE_CHECKING:  # avoid a package-level import cycle with the pipeline
     from ..observe import Observer
     from ..pipeline.config import MachineConfig
     from ..pipeline.stats import SimStats
-from .kernel import get_kernel
 from .table_of_loads import TableOfLoads
 from .vector_regfile import VectorRegister, VectorRegisterFile
 from .vrmt import VRMT, VRMTEntry
@@ -238,8 +237,6 @@ class VectorizationEngine:
         self._cancel_dead = vc.cancel_dead_fetches
         self._fetch_ahead = vc.fetch_ahead
         self._check_invariants = config.check_invariants
-        #: process-wide batch-evaluation backend (python or numpy).
-        self._kernel = get_kernel()
         #: single scratch Decision mutated in place by the decode paths:
         #: dispatch copies every field out before the next decode call, so
         #: one record serves the whole run (allocation-churn removal).
@@ -249,7 +246,7 @@ class VectorizationEngine:
         #: deferred cross-cycle ALU value batches, op -> (a_ops, b_ops,
         #: [(dest_reg, elem), ...]).  Issue slots, r_time and FU occupancy
         #: are still computed eagerly (they are timing-observable); only
-        #: the element *values* accumulate here so one kernel call
+        #: the element *values* accumulate here so one batch pass
         #: evaluates many cycles' worth of elements.  Flushed when a
         #: scheduled element depends on a deferred value, when a committing
         #: validation observes one (invariant check), or at the watermark.
@@ -656,14 +653,14 @@ class VectorizationEngine:
         live source element with no compute time yet stops the run;
         defunct / freed / abandoned sources count as known — their values
         are garbage, but consumers of garbage are squashed before commit),
-        then the run's issue slots and element values are evaluated as one
-        batch through the kernel backend.
+        then the run's issue slots are computed in one pass and its element
+        values join the deferred per-opcode batch.
 
         The issue recurrence per element is
         ``issue = max(prev_issue + 1, pipe_start, src_ready)`` — one
-        element per cycle through one pipelined FU; ``issue_slots`` folds
-        the constant ``pipe_start`` bound into the first slot's floor
-        (later slots are already > it by monotonicity)."""
+        element per cycle through one pipelined FU; the constant
+        ``pipe_start`` bound folds into the first slot's floor (later
+        slots are already > it by monotonicity)."""
         dest = inst.dest
         start = inst.start
         srcs = inst.srcs
@@ -716,12 +713,13 @@ class VectorizationEngine:
         floor = inst.last_issue + 1
         if inst.pipe_start > floor:
             floor = inst.pipe_start
-        issues = self._kernel.issue_slots(readys, floor)
         dest_r_time = dest.r_time
         latency = inst.latency
+        last = floor - 1
         for i in range(n):
-            dest_r_time[first + i] = issues[i] + latency
-        last = issues[-1]
+            r = readys[i]
+            last = last + 1 if last + 1 > r else r
+            dest_r_time[first + i] = last + latency
         inst.last_issue = last
         unit = inst.fu_unit
         if pool[unit] < last + 1:
@@ -729,8 +727,7 @@ class VectorizationEngine:
         inst.next_elem = first + n
         # Timing is fully resolved above; the element *values* join the
         # cross-cycle per-opcode batch instead of being evaluated now, so
-        # one kernel call covers many instances' elements (the numpy
-        # backend then clears its minimum batch size on V workloads).
+        # one pass covers many instances' elements.
         defer = self._defer
         op = inst.op
         buf = defer.get(op)
@@ -763,16 +760,14 @@ class VectorizationEngine:
         defer = self._defer
         if not defer:
             return
-        kernel = self._kernel
         hist = self._engine_batch_hist
         for op, (a_ops, b_ops, dests) in defer.items():
             if hist is not None:
                 hist(len(a_ops))
-            values = kernel.alu_values(op, a_ops, b_ops)
-            for (reg, idx), value in zip(dests, values):
+            for (reg, idx), x, y in zip(dests, a_ops, b_ops):
                 # Elements materialized early are simply rewritten with
                 # the same value (same operands, deterministic op).
-                reg.values[idx] = value
+                reg.values[idx] = apply_alu(op, x, y)
                 reg.pend_bits &= ~(1 << idx)
         defer.clear()
         self._defer_pos.clear()
@@ -797,7 +792,7 @@ class VectorizationEngine:
 
     def _materialize_element(self, reg: VectorRegister, k: int) -> None:
         """Evaluate one deferred element in place (exact: the same shared
-        apply_alu the python kernel uses) without draining the batch."""
+        apply_alu the batch flush uses) without draining the batch."""
         op, j = self._defer_pos[(reg, k)]
         buf = self._defer[op]
         reg.values[k] = apply_alu(op, buf[0][j], buf[1][j])
@@ -990,8 +985,8 @@ class VectorizationEngine:
         if _DEBUG_SKIP_STORE_RANGE_CHECK:
             return False
         # The register file's coherence index tests every live load
-        # register's [first, last] range against ``addr`` in one batched
-        # kernel call; only actual range hits are walked below.
+        # register's [first, last] range against ``addr`` in one pass over
+        # flat lists; only actual range hits are walked below.
         candidates = self.vrf.coherence_candidates(addr)
         if not candidates:
             return False

@@ -33,8 +33,6 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple, Union
 
-from .kernel import get_kernel
-
 Number = Union[int, float]
 
 
@@ -131,7 +129,7 @@ class VectorRegister:
 
     def set_load_addresses(self, base_addr: int, stride: int) -> None:
         """Record the predicted element addresses and the §3.6 range."""
-        pa = get_kernel().pred_addrs(base_addr, stride, self.length)
+        pa = [base_addr + k * stride for k in range(self.length)]
         self.pred_addrs = pa
         # Strided addresses are monotone, so the range is the two ends.
         if stride >= 0:
@@ -215,8 +213,8 @@ class VectorRegisterFile:
         self._live: List[Optional[VectorRegister]] = [None] * num_registers
         # Coherence index for the §3.6 store check: parallel arrays of the
         # [first, last] address range of every indexed load register, so a
-        # committing store tests all ranges in one batched kernel call
-        # instead of walking the live set.  Freed registers leave a dead
+        # committing store tests all ranges in one comprehension over flat
+        # lists instead of walking the live registers' attributes.  Freed registers leave a dead
         # row (filtered on lookup) until the lazy compaction runs.
         self._load_regs: List[VectorRegister] = []
         self._load_firsts: List[int] = []
@@ -273,16 +271,16 @@ class VectorRegisterFile:
         self._load_lasts.append(reg.last_addr)
 
     def coherence_candidates(self, addr: int) -> List[VectorRegister]:
-        """Live load registers whose predicted range covers ``addr``
-        (batched range compare through the active kernel backend)."""
+        """Live load registers whose predicted range covers ``addr``."""
         firsts = self._load_firsts
         if not firsts:
             return []
         regs = self._load_regs
+        lasts = self._load_lasts
         return [
             regs[i]
-            for i in get_kernel().range_hits(addr, firsts, self._load_lasts)
-            if not regs[i].freed
+            for i in range(len(firsts))
+            if firsts[i] <= addr <= lasts[i] and not regs[i].freed
         ]
 
     def _compact_load_index(self) -> None:

@@ -59,7 +59,7 @@ DEFAULT_HEARTBEAT_TIMEOUT = 10.0
 
 def _worker_env() -> Dict[str, str]:
     """The child environment: inherit everything (REPRO_CACHE_DIR,
-    REPRO_FAULTS, REPRO_KERNEL...) and make sure ``repro`` is importable
+    REPRO_FAULTS, ...) and make sure ``repro`` is importable
     even when the parent runs from a source tree."""
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(os.path.dirname(os.path.dirname(

@@ -565,6 +565,11 @@ def run_grid(
         finally:
             if owned_backend is not None:
                 owned_backend.close()
+        # Merge in grid order, not completion order: gauges are
+        # last-write-wins, so the aggregate must not depend on which
+        # worker finished first.
+        rank = {point: i for i, point in enumerate(still_cold)}
+        computed = sorted(computed, key=lambda outcome: rank[outcome[0]])
         for point, payload, simulated, point_metrics in computed:
             stats = diskcache.stats_from_dict(payload)
             runner.prime_memo(tuple(point), stats)

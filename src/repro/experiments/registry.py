@@ -9,9 +9,8 @@ title) to the two callables every driver needs:
   figure needs, so a driver can batch them through
   :func:`repro.experiments.parallel.run_grid` before rendering.
 
-The registry replaces the ad-hoc ``FIGURE_RUNNERS`` tuples the CLI used
-to carry; ``python -m repro figures`` and :func:`repro.api.figure` both
-resolve figures here.  Width-parametric figures (11/12) appear once per
+``python -m repro figures`` and :func:`repro.api.figure` both resolve
+figures here.  Width-parametric figures (11/12) appear once per
 width with the width bound via :func:`functools.partial`.
 """
 

@@ -5,8 +5,8 @@ self-contained simulation input — useful for regression fixtures (pin a
 trace, assert cycle counts), for sharing a misbehaving workload without
 its generator, and for offline analysis in other tools.
 
-Format 3 (current, written by default) is packed and compressed — trace
-files dominate disk-cache size once experiment scales grow 10×:
+The format (version 3) is packed and compressed — trace files dominate
+disk-cache size once experiment scales grow 10×:
 
 * line 1 — plain-JSON header: format version, entry count, halted flag,
   program listing length, backward-branch PCs;
@@ -16,21 +16,18 @@ files dominate disk-cache size once experiment scales grow 10×:
   better than row-major: every column is near-constant or slowly
   varying).
 
-Formats 1 and 2 (legacy, row-major JSON-lines: header, memory, registers,
-then one positional array per entry) remain fully readable, and
-:func:`dump_trace` can still emit format 2 for interoperability.
+Any other format version is rejected.  The disk cache keys traces by a
+digest of this module's source, so files written by an older layout are
+never looked up, and an unreadable one is a cache miss.
 
-Floats round-trip exactly in every format (JSON numbers are IEEE doubles,
-the same type the simulator computes with, and zlib compression is
-lossless).  The :class:`~repro.isa.program.Program` itself is *not*
-serialized — a loaded trace carries a stub program that supports exactly
-what the timing model needs (``is_backward`` per PC and ``len``).
-Formats 2+ record the backward-branch PCs explicitly in the header, so a
-loaded trace reproduces ``is_backward`` — and therefore every
-GMRBB-dependent timing statistic — bit-for-bit; format 1 files (no
-``backward`` field) reconstruct control-flow direction from the observed
-dynamic transfers, which is lossy for branches whose last dynamic
-instance fell through.
+Floats round-trip exactly (JSON numbers are IEEE doubles, the same type
+the simulator computes with, and zlib compression is lossless).  The
+:class:`~repro.isa.program.Program` itself is *not* serialized — a
+loaded trace carries a stub program that supports exactly what the
+timing model needs (``is_backward`` per PC and ``len``).  The header
+records the backward-branch PCs, so a loaded trace reproduces
+``is_backward`` — and therefore every GMRBB-dependent timing
+statistic — bit-for-bit.
 """
 
 from __future__ import annotations
@@ -57,12 +54,6 @@ FORMAT_VERSION = 3
 #: rewrites the entry).
 SOA_FORMAT_VERSION = 1
 
-#: versions :func:`load_trace` understands.
-_READABLE_VERSIONS = (1, 2, 3)
-
-#: versions :func:`dump_trace` can emit (3 = packed, 2 = legacy JSON-lines).
-_WRITABLE_VERSIONS = (2, 3)
-
 
 def pack_json(obj) -> str:
     """Compress a JSON-able object into one newline-free Base85 line.
@@ -88,17 +79,17 @@ class TraceFormatError(Exception):
     """Raised when a stream does not hold a valid serialized trace."""
 
 
-#: TraceEntry fields in column order (format 3 body and legacy row order).
+#: TraceEntry fields in body column order.
 _ENTRY_FIELDS = (
     "seq", "pc", "op", "rd", "rs1", "rs2", "imm",
     "s1", "s2", "value", "addr", "taken", "next_pc",
 )
 
 
-def _header(trace: Trace, version: int) -> dict:
+def _header(trace: Trace) -> dict:
     program = trace.program
     return {
-        "format": version,
+        "format": FORMAT_VERSION,
         "entries": len(trace.entries),
         "halted": trace.halted,
         "program_len": len(program),
@@ -106,95 +97,38 @@ def _header(trace: Trace, version: int) -> dict:
     }
 
 
-def dump_trace(trace: Trace, stream: IO[str], version: int = FORMAT_VERSION) -> None:
-    """Serialize ``trace`` to a text stream.
-
-    ``version`` selects the on-disk format: 3 (default) is the packed
-    columnar format, 2 the legacy JSON-lines layout.
-    """
-    if version not in _WRITABLE_VERSIONS:
-        raise ValueError(f"cannot write format {version!r}; writable: {_WRITABLE_VERSIONS}")
-    stream.write(json.dumps(_header(trace, version)) + "\n")
-    if version >= 3:
-        columns = [[] for _ in _ENTRY_FIELDS]
-        for e in trace.entries:
-            row = (
-                e.seq, e.pc, int(e.op), e.rd, e.rs1, e.rs2, e.imm,
-                e.s1, e.s2, e.value, e.addr, 1 if e.taken else 0, e.next_pc,
-            )
-            for col, value in zip(columns, row):
-                col.append(value)
-        body = {
-            "memory": {str(addr): value for addr, value in trace.initial_memory.items()},
-            "int": trace.final_int_regs,
-            "fp": trace.final_fp_regs,
-            "cols": columns,
-        }
-        stream.write(pack_json(body) + "\n")
-        return
-    stream.write(
-        json.dumps({str(addr): value for addr, value in trace.initial_memory.items()})
-        + "\n"
-    )
-    stream.write(
-        json.dumps(
-            {"int": trace.final_int_regs, "fp": trace.final_fp_regs}
-        )
-        + "\n"
-    )
+def dump_trace(trace: Trace, stream: IO[str]) -> None:
+    """Serialize ``trace`` to a text stream."""
+    stream.write(json.dumps(_header(trace)) + "\n")
+    columns = [[] for _ in _ENTRY_FIELDS]
     for e in trace.entries:
-        stream.write(
-            json.dumps(
-                [
-                    e.seq,
-                    e.pc,
-                    int(e.op),
-                    e.rd,
-                    e.rs1,
-                    e.rs2,
-                    e.imm,
-                    e.s1,
-                    e.s2,
-                    e.value,
-                    e.addr,
-                    1 if e.taken else 0,
-                    e.next_pc,
-                ]
-            )
-            + "\n"
+        row = (
+            e.seq, e.pc, int(e.op), e.rd, e.rs1, e.rs2, e.imm,
+            e.s1, e.s2, e.value, e.addr, 1 if e.taken else 0, e.next_pc,
         )
+        for col, value in zip(columns, row):
+            col.append(value)
+    body = {
+        "memory": {str(addr): value for addr, value in trace.initial_memory.items()},
+        "int": trace.final_int_regs,
+        "fp": trace.final_fp_regs,
+        "cols": columns,
+    }
+    stream.write(pack_json(body) + "\n")
 
 
-def dumps_trace(trace: Trace, version: int = FORMAT_VERSION) -> str:
+def dumps_trace(trace: Trace) -> str:
     """Serialize ``trace`` to a string."""
     buf = io.StringIO()
-    dump_trace(trace, buf, version=version)
+    dump_trace(trace, buf)
     return buf.getvalue()
 
 
-def _stub_program(program_len: int, entries: List[TraceEntry]) -> Program:
-    """Reconstruct a program skeleton adequate for the timing model.
-
-    Only control-flow direction matters (GMRBB tracking): any pc observed
-    taking a non-JR control transfer is rebuilt as a branch with its
-    observed target; everything else becomes NOP.  (Format-1 fallback —
-    lossy when a branch's final dynamic instance fell through.)
-    """
-    instructions = [Instruction(Opcode.NOP) for _ in range(max(1, program_len))]
-    for e in entries:
-        if e.is_control and e.op is not Opcode.JR:
-            instructions[e.pc] = Instruction(
-                Opcode(e.op), rs1=0, rs2=0, target=e.next_pc if e.taken else e.pc + 1
-            )
-        elif e.op is Opcode.JR:
-            instructions[e.pc] = Instruction(Opcode.JR, rs1=0)
-    return Program(instructions)
-
-
-def _stub_program_from_backward(program_len: int, backward: List[int]) -> Program:
-    """Format-2 stub: the header names every backward-control pc, so the
-    skeleton reproduces ``is_backward`` exactly (a self-targeting jump is
-    backward by definition; everything else is NOP)."""
+def _stub_program(program_len: int, backward: List[int]) -> Program:
+    """A program skeleton adequate for the timing model: the header names
+    every backward-control pc, so the skeleton reproduces ``is_backward``
+    exactly (a self-targeting jump is backward by definition; everything
+    else is NOP)."""
     instructions = [Instruction(Opcode.NOP) for _ in range(max(1, program_len))]
     for pc in backward:
         if not 0 <= pc < len(instructions):
@@ -210,84 +144,54 @@ def load_trace(stream: IO[str]) -> Trace:
     except json.JSONDecodeError as exc:
         raise TraceFormatError("bad header line") from exc
     version = header.get("format")
-    if version not in _READABLE_VERSIONS:
+    if version != FORMAT_VERSION:
         raise TraceFormatError(f"unsupported format {version!r}")
-    entries: List[TraceEntry] = []
-    if version >= 3:
-        try:
-            body = unpack_json(stream.readline())
-            memory_line = body["memory"]
-            regs_line = {"int": body["int"], "fp": body["fp"]}
-            cols = body["cols"]
-        except (ValueError, KeyError, TypeError) as exc:
-            raise TraceFormatError(f"bad packed body: {exc}") from exc
-        if len(cols) != len(_ENTRY_FIELDS) or any(
-            len(col) != header["entries"] for col in cols
-        ):
-            raise TraceFormatError("bad column block")
-        (seqs, pcs, ops, rds, rs1s, rs2s, imms,
-         s1s, s2s, values, addrs, takens, next_pcs) = cols
-        for i in range(header["entries"]):
-            entries.append(
-                TraceEntry(
-                    seq=seqs[i],
-                    pc=pcs[i],
-                    op=Opcode(ops[i]),
-                    rd=rds[i],
-                    rs1=rs1s[i],
-                    rs2=rs2s[i],
-                    imm=imms[i],
-                    s1=s1s[i],
-                    s2=s2s[i],
-                    value=values[i],
-                    addr=addrs[i],
-                    taken=bool(takens[i]),
-                    next_pc=next_pcs[i],
-                )
-            )
-    else:
-        memory_line = json.loads(stream.readline())
-        regs_line = json.loads(stream.readline())
-        for _ in range(header["entries"]):
-            row = json.loads(stream.readline())
-            if len(row) != 13:
-                raise TraceFormatError(f"bad entry row of length {len(row)}")
-            entries.append(
-                TraceEntry(
-                    seq=row[0],
-                    pc=row[1],
-                    op=Opcode(row[2]),
-                    rd=row[3],
-                    rs1=row[4],
-                    rs2=row[5],
-                    imm=row[6],
-                    s1=row[7],
-                    s2=row[8],
-                    value=row[9],
-                    addr=row[10],
-                    taken=bool(row[11]),
-                    next_pc=row[12],
-                )
-            )
-    initial = MemoryImage({int(addr): value for addr, value in memory_line.items()})
+    try:
+        body = unpack_json(stream.readline())
+        memory = body["memory"]
+        int_regs = body["int"]
+        fp_regs = body["fp"]
+        cols = body["cols"]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise TraceFormatError(f"bad packed body: {exc}") from exc
+    if len(cols) != len(_ENTRY_FIELDS) or any(
+        len(col) != header["entries"] for col in cols
+    ):
+        raise TraceFormatError("bad column block")
+    (seqs, pcs, ops, rds, rs1s, rs2s, imms,
+     s1s, s2s, values, addrs, takens, next_pcs) = cols
+    entries = [
+        TraceEntry(
+            seq=seqs[i],
+            pc=pcs[i],
+            op=Opcode(ops[i]),
+            rd=rds[i],
+            rs1=rs1s[i],
+            rs2=rs2s[i],
+            imm=imms[i],
+            s1=s1s[i],
+            s2=s2s[i],
+            value=values[i],
+            addr=addrs[i],
+            taken=bool(takens[i]),
+            next_pc=next_pcs[i],
+        )
+        for i in range(header["entries"])
+    ]
+    initial = MemoryImage({int(addr): value for addr, value in memory.items()})
     # Rebuild the final memory by replaying stores over the initial image.
     final = initial.copy()
     for e in entries:
         if e.is_store:
             final.store(e.addr, e.value)
-    if version >= 2:
-        program = _stub_program_from_backward(
-            header["program_len"], header.get("backward", [])
-        )
-    else:
-        program = _stub_program(header["program_len"], entries)
+    program = _stub_program(header["program_len"], header.get("backward", []))
     return Trace(
         program=program,
         entries=entries,
         initial_memory=initial,
         final_memory=final,
-        final_int_regs=list(regs_line["int"]),
-        final_fp_regs=list(regs_line["fp"]),
+        final_int_regs=list(int_regs),
+        final_fp_regs=list(fp_regs),
         halted=header["halted"],
     )
 

@@ -25,25 +25,29 @@ refill penalty (DESIGN.md §5.1).
 Execution is *batched*: each cycle the execute stage makes one pass over
 the waiting window, routes ready instructions into per-kind groups
 (validations, zero-latency ops, loads + FU ops), and completes each group
-as a unit — the groups' data-parallel work (address-mismatch compares,
-completion times) goes through the active :mod:`repro.core.kernel`
-backend as typed parallel arrays instead of per-instruction calls.  The
+as a unit (one shared completion time per FU class).  The
 per-instruction properties the scheduler needs (kind, FU class, latency,
 dependence registers, ...) come from the trace's structure-of-arrays
 predecode (:meth:`repro.functional.trace.Trace.soa`), shared by fetch,
 dispatch and execute.
+
+The whole cycle (commit -> execute -> memory -> dispatch -> fetch) is one
+loop body, :meth:`Machine._cycles`.  :meth:`Machine.run` drives it to
+completion, :meth:`Machine.step` runs it for exactly one cycle, and
+observed runs (metrics, stage profiler) run the same body with their
+hooks armed.
 """
 
 from __future__ import annotations
 
 import gc
+import sys
 from collections import deque
 from heapq import heapify, heappop, heappush
 from operator import attrgetter
 from typing import Deque, List, Optional, Tuple, Union
 
 from ..core.engine import DecodeKind, VectorizationEngine
-from ..core.kernel import get_kernel
 from ..frontend.fetch import FetchUnit
 from ..functional.memory import MemoryImage
 from ..functional.semantics import s64
@@ -80,13 +84,10 @@ _FU_BUSY = {
     for cls in FuClass
 }
 
-#: stage methods the fused run loop inlines; an instance-level override
-#: of any of these routes the run through the canonical step() loop.
-_STAGE_METHODS = frozenset(
-    {"step", "_commit", "_execute", "_dispatch", "_schedule_memory"}
-)
-
 _FU_NONE = int(FuClass.NONE)
+
+#: one ports.occupancy sample every 4096 cycles (metrics-observed runs).
+_OCCUPANCY_MASK = 0x0FFF
 
 #: single-source fp/convert forms whose missing rs2 is NOT an immediate.
 _NO_IMM_OPS = frozenset(
@@ -140,7 +141,7 @@ class InFlight:
         self.saved_rd = -1
         self.saved_tok = None
         #: instructions sleeping until this one's completion time is known
-        #: (lazily created; see Machine._execute's dependence check).
+        #: (lazily created; see the dependence check in Machine._cycles).
         self.waiters: Optional[List["InFlight"]] = None
         #: True once removed from the window by a squash — a stale entry on
         #: some producer's ``waiters`` list must not be re-woken.
@@ -192,7 +193,7 @@ class VecInFlight(InFlight):
 
     # Validation/trigger records are only ever referenced by the ROB and
     # the scheduler lists (rename holds a (reg, elem) tuple, never the
-    # record itself), so the fused loop recycles them at commit through a
+    # record itself), so the cycle loop recycles them at commit through a
     # free pool; reset re-runs the full constructor.
     reset = __init__
 
@@ -216,8 +217,8 @@ class Machine:
         self.trace = trace
         self.stats = SimStats()
         # Observability: the default (observer=None) leaves every hook
-        # dormant — emission sites cost one `is not None` test and the
-        # run loop is the unobserved one.
+        # dormant — emission sites and the cycle loop's stage hooks each
+        # cost one `is not None` test.
         self.observer = observer
         bus = observer.bus if observer is not None else None
         self._bus = bus
@@ -244,16 +245,14 @@ class Machine:
         #: structure-of-arrays predecode shared with fetch and dispatch.
         self._soa = trace.soa()
         self._entries = trace.entries
-        #: process-wide batch-evaluation backend (python or numpy).
-        self._kernel = get_kernel()
 
         self.rob: Deque[InFlight] = deque()
         self.lsq: List[InFlight] = []
         self.waiting: List[InFlight] = []
         #: instructions whose first blocking time is *known* and in the
         #: future, parked off the per-cycle scan until that cycle.
-        #: Min-heap of (wake_cycle, seq, InFlight) — see _execute for the
-        #: exactness argument.
+        #: Min-heap of (wake_cycle, seq, InFlight) — see the execute stage
+        #: of _cycles for the exactness argument.
         self._parked: List[Tuple[int, int, InFlight]] = []
         #: recycled validation/trigger records (see VecInFlight.reset).
         self._vec_pool: List[VecInFlight] = []
@@ -268,7 +267,6 @@ class Machine:
         self.committed_vec_map: List[Optional[Tuple]] = [None] * NUM_LOGICAL_REGS
         self.committed_count = 0
         self._max_dispatched_seq = -1
-        self._now = 0
         #: scalar FU pools: int FU class -> list of unit free-at cycles.
         self.fu_free = {
             int(cls): [0] * count for cls, count in config.fu_pool_sizes().items()
@@ -292,407 +290,12 @@ class Machine:
         self._block_scalar = (
             self.engine is not None and config.vector.block_on_scalar_operand
         )
-        #: observability hooks, armed by _run_observed (None = dormant).
-        self._batch_hist = None
-        self._profiler = None
-        self._mem_seconds = 0.0
+        #: ports.busy_port_cycles at the last ports.occupancy sample.
+        self._occupancy_mark = 0
 
     # ==================================================================
-    # helpers
+    # stage helpers (called from the cycle loop)
     # ==================================================================
-
-    def _acquire_fu(self, fu_class: int, now: int) -> bool:
-        """Grab a scalar functional unit for an op starting this cycle."""
-        pool = self.fu_free.get(fu_class)
-        if pool is None:
-            return True
-        for i, free_at in enumerate(pool):
-            if free_at <= now:
-                # Simple units are fully pipelined; mul/div units are busy
-                # for the whole operation (see _FU_BUSY).
-                pool[i] = now + _FU_BUSY[fu_class]
-                return True
-        return False
-
-    # ==================================================================
-    # commit
-    # ==================================================================
-
-    def _commit(self, now: int) -> None:
-        committed = 0
-        stores_this_cycle = 0
-        engine = self.engine
-        rob = self.rob
-        stats = self.stats
-        ports = self.ports
-        commit_width = self._commit_width
-        max_store_commit = self._max_store_commit
-        is_backward = self._is_backward
-        bkinds = self._soa.bkind
-        vec_map = self.committed_vec_map
-        cfi_windows = self.cfi_windows
-        while rob and committed < commit_width:
-            fl = rob[0]
-            t = fl.done_at
-            if t is None or t > now:
-                break
-            entry = fl.entry
-            kind = fl.kind
-            conflict = False
-            if kind == K_STORE:
-                if engine is not None and stores_this_cycle >= max_store_commit:
-                    break
-                if ports.available() == 0:
-                    break
-                ready = self.hierarchy.data_access(fl.addr, now, is_write=True)
-                if ready is None:  # MSHR full
-                    break
-                ports.take()
-                ports.open_write()
-                stats.write_accesses += 1
-                self.commit_memory.store(fl.addr, entry.value)
-                stores_this_cycle += 1
-                stats.committed_stores += 1
-                if engine is not None:
-                    conflict = engine.on_store_commit(fl.addr, now)
-
-            rob.popleft()
-            if kind == K_LOAD or kind == K_STORE:
-                # In-order commit means the oldest memory op leaves first,
-                # so this is lsq[0] except across a just-flushed window.
-                lsq = self.lsq
-                if lsq[0] is fl:
-                    del lsq[0]
-                else:
-                    lsq.remove(fl)
-            committed += 1
-            stats.committed += 1
-            if cfi_windows:
-                self._account_cfi(fl, now)
-
-            if engine is not None:
-                # Everything below maintains vector-side commit state, which
-                # does not exist in the scalar (noIM/IM) machines.
-                if kind >= K_VALIDATION:  # K_VALIDATION or K_TRIGGER
-                    engine.on_validation_commit(fl, now, self.ports)
-
-                rd = entry.rd
-                if rd > 0:  # neither NO_REG nor the zero register
-                    old = vec_map[rd]
-                    if old is not None:
-                        engine.set_element_freed(old[0], old[1], old[2], now)
-                    if kind >= K_VALIDATION:
-                        vec_map[rd] = (fl.vreg, fl.vreg.gen, fl.velem)
-                    else:
-                        vec_map[rd] = None
-
-                if is_backward[entry.pc] and bkinds[fl.seq]:
-                    engine.on_backward_branch_commit(entry.pc, now)
-
-            if conflict:
-                # §3.6: squash everything younger than the store.
-                self._flush_from(fl.seq + 1, now + 1 + self._mispredict_penalty, now)
-                break
-        self.committed_count += committed
-
-    def _account_cfi(self, fl: InFlight, now: int) -> None:
-        """Fig 10: count committed instructions in the 100 after each
-        mispredicted branch, and which of them reuse pre-flush vector work."""
-        windows = self.cfi_windows
-        seq = fl.seq
-        while windows and seq > windows[0][0] + 100:
-            windows.popleft()
-        if not windows:
-            return
-        is_validation = fl.kind >= K_VALIDATION and fl.counts_as_validation
-        for bseq, resolved in windows:
-            if bseq < seq <= bseq + 100:
-                self.stats.cfi_window_instructions += 1
-                if is_validation and fl.vreg is not None and fl.velem >= 0:
-                    # Fig 10's metric: the instruction needed no execution —
-                    # it validated vector state that survived the flush.
-                    self.stats.cfi_reused += 1
-                    rt = fl.vreg.r_time[fl.velem]
-                    if rt is not None and rt <= resolved:
-                        self.stats.cfi_precomputed += 1
-
-    # ==================================================================
-    # execute / memory
-    # ==================================================================
-
-    def _execute(self, now: int) -> None:
-        """One batched pass over the waiting window.
-
-        Phase 1 walks the seq-sorted waiting list once, resolving
-        dependences and routing *ready* instructions into per-kind groups
-        (validations/triggers, zero-latency completions, issue ops);
-        phases 2–4 then complete each group as a unit.  The phase split is
-        exact because the deferred work has no intra-cycle feedback into
-        phase 1's routing decisions:
-
-        * validations and stores consume neither issue width nor FUs, so
-          extracting them from the seq-ordered scan leaves every width/FU
-          allocation decision — made in phase 4 in seq order over the
-          issue group — unchanged;
-        * completion times assigned this cycle are always > ``now``, so no
-          instruction processed later in the same pass can observe them as
-          ready — consumers sleep on the producer's ``waiters`` list and
-          re-enter at exactly the cycle the per-instruction rescan would
-          have advanced (see the dependence-check comment below);
-        * a validation failure at seq F only flushes instructions with
-          seq >= F; phases 3–4 gate on F, and instructions older than F
-          are unaffected by the failure's vector-side writes.
-        """
-        issues_left = self._width
-        engine = self.engine
-        stats = self.stats
-        try_load = self._try_load
-        # Parked instructions whose wake cycle has arrived rejoin the
-        # scan.  Both lists are seq-sorted, so extend+sort is a cheap
-        # two-run merge and the scan order matches the never-parked order.
-        parked = self._parked
-        if parked and parked[0][0] <= now:
-            waiting = self.waiting
-            while parked and parked[0][0] <= now:
-                waiting.append(heappop(parked)[2])
-            waiting.sort(key=_SEQ_KEY)
-        still_waiting: List[InFlight] = []
-        keep = still_waiting.append
-        flush_seq: Optional[int] = None
-        # Ready groups, built lazily (most cycles most are empty).
-        rv: Optional[List] = None  # validations / triggers
-        rf: Optional[List] = None  # zero-latency: stores + no-FU scalars
-        ri: Optional[List] = None  # issue ops: loads + FU scalars
-        # ---- phase 1: dependence scan + routing --------------------------
-        for fl in self.waiting:
-            # Dependence check, with compaction: a satisfied token can
-            # never become unsatisfied again (done_at and r_time are
-            # written once per object, ``now`` only grows), so each slot
-            # is cleared the first cycle it is ready and later rescans
-            # skip straight to the structural checks.  A blocked
-            # instruction leaves the scan entirely instead of being
-            # rescanned every cycle: when the blocking token's time is
-            # already known it parks on the timed heap until that cycle;
-            # when the producer has not issued yet (done_at still None) it
-            # sleeps on the producer's ``waiters`` list and is moved to
-            # the heap the moment the producer's completion time is set.
-            # Either way it rejoins the scan — in seq order — exactly at
-            # the first cycle the original every-cycle rescan could have
-            # advanced past that token, so the elided rescans are
-            # unobservable.
-            dep = fl.dep1
-            if dep is not None:
-                if type(dep) is tuple:
-                    t = dep[0].r_time[dep[1]]
-                    if t is None:
-                        # Unscheduled vector element: no wake hook; rescan.
-                        keep(fl)
-                        continue
-                    if t > now:
-                        heappush(parked, (t, fl.seq, fl))
-                        continue
-                else:
-                    t = dep.done_at
-                    if t is None:
-                        w = dep.waiters
-                        if w is None:
-                            dep.waiters = [fl]
-                        else:
-                            w.append(fl)
-                        continue
-                    if t > now:
-                        heappush(parked, (t, fl.seq, fl))
-                        continue
-                fl.dep1 = None
-            dep = fl.dep2
-            if dep is not None:
-                if type(dep) is tuple:
-                    t = dep[0].r_time[dep[1]]
-                    if t is None:
-                        keep(fl)
-                        continue
-                    if t > now:
-                        heappush(parked, (t, fl.seq, fl))
-                        continue
-                else:
-                    t = dep.done_at
-                    if t is None:
-                        w = dep.waiters
-                        if w is None:
-                            dep.waiters = [fl]
-                        else:
-                            w.append(fl)
-                        continue
-                    if t > now:
-                        heappush(parked, (t, fl.seq, fl))
-                        continue
-                fl.dep2 = None
-            if fl.static_ready > now:
-                keep(fl)
-                continue
-            kind = fl.kind
-            if kind == K_SCALAR:
-                if fl.cls == _FU_NONE:
-                    if rf is None:
-                        rf = [fl]
-                    else:
-                        rf.append(fl)
-                elif ri is None:
-                    ri = [fl]
-                else:
-                    ri.append(fl)
-            elif kind == K_LOAD:
-                if ri is None:
-                    ri = [fl]
-                else:
-                    ri.append(fl)
-            elif kind == K_STORE:
-                if rf is None:
-                    rf = [fl]
-                else:
-                    rf.append(fl)
-            elif rv is None:
-                rv = [fl]
-            else:
-                rv.append(fl)
-
-        bh = self._batch_hist
-        done1 = now + 1
-        # ---- phase 2: validations / triggers (batched address compare) ---
-        if rv is not None:
-            if bh is not None:
-                bh(len(rv))
-            for fl in rv:
-                # Inlined engine.validation_check: element still live and
-                # (for loads) predicted address matches the actual one.
-                # The address verdict itself was precomputed at dispatch
-                # (``fl.mismatch``) — both operands are decode-time
-                # constants — so no batched compare runs here.
-                vreg = fl.vreg
-                if vreg.freed or vreg.defunct or fl.mismatch:
-                    # Misspeculation: recover to scalar from this instruction.
-                    engine.on_validation_failure(fl, now)
-                    flush_seq = fl.seq
-                    # The rest of the group is younger (seq order): flushed.
-                    break
-                t = vreg.r_time[fl.velem]  # inlined vreg.elem_done
-                if t is not None:
-                    if t <= now:
-                        fl.done_at = done1
-                    else:
-                        # The completion time is known and r_time is
-                        # write-once while this op is in flight (its U flag
-                        # pins the register against freeing/recycling), so
-                        # the op cannot become ready before cycle ``t``.
-                        # It can only *fail* early via a defunct flip, and
-                        # both defunct writers already wake it: a store-
-                        # coherence conflict flushes everything younger
-                        # than the committing store (which includes every
-                        # parked op), and a validation failure drains the
-                        # park heap below.  Parking is therefore exact.
-                        heappush(parked, (t, fl.seq, fl))
-                else:
-                    keep(fl)
-        # ---- phase 3: zero-latency completions ---------------------------
-        if rf is not None:
-            for fl in rf:
-                if flush_seq is not None and fl.seq >= flush_seq:
-                    break
-                fl.done_at = done1
-                if fl.kind != K_STORE:
-                    # Address generation + data capture for stores; memory
-                    # is written at commit and nothing renames to a store.
-                    if fl.waiters is not None:
-                        self._wake_waiters(fl)
-                    if fl.mispredicted and not fl.redirected:
-                        self._resolve_mispredict(fl, now)
-        # ---- phase 4: issue (loads + FU ops, seq order, width-limited) ---
-        if ri is not None:
-            acquire_fu = self._acquire_fu
-            by_cls = {}
-            for fl in ri:
-                if flush_seq is not None and fl.seq >= flush_seq:
-                    break
-                if fl.kind == K_LOAD:
-                    if issues_left <= 0:
-                        keep(fl)
-                        continue
-                    r = try_load(fl, now)
-                    if type(r) is int:
-                        if r == 0:
-                            issues_left -= 1
-                        elif r < 0:
-                            keep(fl)
-                        else:
-                            heappush(parked, (r, fl.seq, fl))
-                    else:
-                        # Sleep on the store's producer until its
-                        # completion time is known.
-                        w = r.waiters
-                        if w is None:
-                            r.waiters = [fl]
-                        else:
-                            w.append(fl)
-                    continue
-                if issues_left <= 0:
-                    keep(fl)
-                    continue
-                cls = fl.cls
-                if not acquire_fu(cls, now):
-                    keep(fl)
-                    continue
-                issues_left -= 1
-                group = by_cls.get(cls)
-                if group is None:
-                    by_cls[cls] = [fl]
-                else:
-                    group.append(fl)
-            # Complete each functional class as one batch: one shared
-            # completion time per class, assigned group-wide.
-            for cls, group in by_cls.items():
-                if bh is not None:
-                    bh(len(group))
-                done = now + group[0].lat
-                for fl in group:
-                    fl.done_at = done
-                    # Only scalar ALU ops and scalar loads ever appear as
-                    # producers in the rename map, so only they can hold
-                    # sleepers (loads wake from _try_load/_schedule_memory).
-                    if fl.waiters is not None:
-                        self._wake_waiters(fl)
-                    if fl.mispredicted and not fl.redirected:
-                        self._resolve_mispredict(fl, now)
-
-        if flush_seq is not None and parked:
-            # The failure defuncted a register; any parked op — in
-            # particular an *older* validation of the same register — must
-            # be rescanned so it notices the flip on the next cycle, just
-            # as an unparked entry would.  (Younger ones are flushed below.)
-            still_waiting.extend(e[2] for e in parked)
-            del parked[:]
-        if len(still_waiting) > 1:
-            # Phases 1/2/4 each keep in seq order, so this is a cheap
-            # merge of a few sorted runs (timsort), restoring the
-            # seq-sorted invariant the next scan relies on.
-            still_waiting.sort(key=_SEQ_KEY)
-        self.waiting = still_waiting
-        if flush_seq is not None:
-            self._flush_from(flush_seq, now + 1 + self._mispredict_penalty, now)
-        if self.mem_queue or (engine is not None and engine.pending_fetches):
-            prof = self._profiler
-            if prof is None:
-                self._schedule_memory(now)
-            else:
-                # Satellite of the batching rework: port scheduling
-                # reached from inside the execute stage is real memory
-                # work — attribute it to the ``memory`` stage instead of
-                # silently folding it into ``execute``.
-                clock = observe_profile.perf_counter
-                t0 = clock()
-                self._schedule_memory(now)
-                dt = clock() - t0
-                prof.account("memory", dt)
-                self._mem_seconds += dt
 
     def _resolve_mispredict(self, fl: InFlight, now: int) -> None:
         """Branch resolution: start the fetch-redirect/refill epilogue."""
@@ -706,112 +309,17 @@ class Machine:
         self.fetch_unit.redirect(fl.seq + 1, resolve + self._mispredict_penalty)
         self.cfi_windows.append((fl.seq, resolve))
 
-    def _wake_waiters(self, fl: InFlight) -> None:
-        """``fl``'s completion time just became known: move its sleepers to
-        the timed park heap so they rejoin the execute scan at that cycle.
-        Entries squashed while asleep are dropped (their re-fetched
-        incarnations re-register themselves)."""
-        done = fl.done_at
-        parked = self._parked
-        for c in fl.waiters:
-            if not c.squashed:
-                heappush(parked, (done, c.seq, c))
-        fl.waiters = None
-
-    def _try_load(self, fl: InFlight, now: int):
-        """Disambiguate a ready load.
-
-        Returns 0 when the load issued this cycle (forwarded or queued to
-        the memory stage, consuming an issue slot), -1 when it must stay
-        on the rescanned waiting list (blocked on an unscheduled vector
-        element), a cycle number > now to park until, or the blocking
-        store's producing InFlight to sleep on (completion time unknown).
-        """
-        # All older stores must have known addresses (their base dep ready).
-        my_addr = fl.addr
-        my_seq = fl.seq
-        forwarding_store: Optional[InFlight] = None
-        for other in self.lsq:
-            if other.seq >= my_seq:
-                break
-            if other.kind != K_STORE:
-                continue
-            dep = other.base_dep
-            if dep is None:
-                pass
-            elif type(dep) is tuple:
-                t = dep[0].r_time[dep[1]]
-                if t is None:
-                    return -1
-                if t + 1 > now:
-                    # Exact rejoin: the per-cycle rescan would first pass
-                    # this store at cycle t + 1 (t is write-once).
-                    return t + 1
-            else:
-                t = dep.done_at
-                if t is None:
-                    return dep
-                if t + 1 > now:
-                    return t + 1
-            if other.addr == my_addr:
-                forwarding_store = other  # youngest older match wins
-        if forwarding_store is not None:
-            dep = forwarding_store.data_dep
-            if dep is None:
-                pass
-            elif type(dep) is tuple:
-                t = dep[0].r_time[dep[1]]
-                if t is None:
-                    return -1
-                if t > now:
-                    return t
-            else:
-                t = dep.done_at
-                if t is None:
-                    return dep
-                if t > now:
-                    return t
-            fl.done_at = now + 1
-            if fl.waiters is not None:
-                self._wake_waiters(fl)
-            self.stats.forwarded_loads += 1
-            return 0
-        self.mem_queue.append(fl)
-        return 0
-
     def _schedule_memory(self, now: int) -> None:
-        """Issue L1 data-port transactions: scalar loads, then (V mode)
-        speculative vector element fetches over the remaining capacity."""
+        """Wide-bus L1 data-port transactions: scalar loads, then (V mode)
+        speculative vector element fetches over the remaining capacity.
+
+        The cycle loop serves the scalar-bus case, and a lone wide-bus
+        load with no vector fetches pending, inline."""
         ports = self.ports
         if ports.available() == 0:
             return
         engine = self.engine
-        if not self.mem_queue and (engine is None or not engine.pending_fetches):
-            return
-        if not self._wide_bus:
-            # Scalar buses: one word per port per transaction.
-            remaining: List[InFlight] = []
-            queue = self.mem_queue
-            for i, fl in enumerate(queue):
-                if ports.available() == 0:
-                    remaining.extend(queue[i:])
-                    break
-                ready = self.hierarchy.data_access(fl.addr, now)
-                if ready is None:  # MSHR full; retry next cycle
-                    remaining.extend(queue[i:])
-                    break
-                ports.take()
-                txn = ports.open_read()
-                ports.add_useful(txn, 1)
-                self.stats.read_accesses += 1
-                self.stats.scalar_loads_to_memory += 1
-                fl.done_at = ready
-                if fl.waiters is not None:
-                    self._wake_waiters(fl)
-            self.mem_queue = remaining
-            return
-
-        # Wide bus: group pending reads by line; one access serves up to 4.
+        # Group pending reads by line; one access serves up to 4.
         # Group members mix scalar loads (InFlight objects) and vector
         # element fetches (3-tuples) — the member's type is its tag.
         line_bytes = self._line_bytes
@@ -889,7 +397,14 @@ class Machine:
                 else:
                     m.done_at = ready
                     if m.waiters is not None:
-                        self._wake_waiters(m)
+                        # The load's completion time is now known: move its
+                        # sleepers to the timed park heap (squashed ones
+                        # are dropped; their re-fetched copies re-register).
+                        parked = self._parked
+                        for c in m.waiters:
+                            if not c.squashed:
+                                heappush(parked, (ready, c.seq, c))
+                        m.waiters = None
                     if scalar_words is None:
                         scalar_words = {m.addr}
                     else:
@@ -914,180 +429,6 @@ class Machine:
                 )
             else:
                 engine.requeue_fetches(taken_fetches)
-
-    # ==================================================================
-    # dispatch
-    # ==================================================================
-
-    def _dispatch(self, now: int) -> None:
-        """Rename and insert up to ``width`` fetched instructions into the
-        window.  All static per-instruction properties come from the trace
-        SoA arrays, indexed by the packed seq from the fetch queue."""
-        dispatched = 0
-        engine = self.engine
-        width = self._width
-        lsq_size = self._lsq_size
-        fetch_queue = self.fetch_queue
-        rob = self.rob
-        lsq = self.lsq
-        waiting = self.waiting
-        stats = self.stats
-        rename = self.rename
-        entries = self._entries
-        soa = self._soa
-        kinds = soa.kind
-        clss = soa.cls
-        lats = soa.lat
-        valus = soa.valu
-        rds = soa.rd
-        d1s = soa.dep1
-        d2s = soa.dep2
-        addrs = soa.addr
-        block_scalar = self._block_scalar
-        max_seq = self._max_dispatched_seq
-        ready_at = now + 1
-        rob_room = self._rob_size - len(rob)
-        pcs_soa = soa.pc
-        vpcs = engine.vrmt.pcs if engine is not None else None
-        while fetch_queue and dispatched < width:
-            if rob_room <= 0:
-                break
-            packed = fetch_queue[0]
-            seq = packed >> 1
-            kind = kinds[seq]
-            if kind != K_SCALAR and len(lsq) >= lsq_size:
-                break
-            entry = entries[seq]
-            is_valu = valus[seq]
-            # Vectorizer probe fast path: an arithmetic instruction whose PC
-            # never had a VRMT mapping and whose renamed sources are all
-            # scalar can only decode to a plain scalar with no engine state
-            # touched — skip the decode call (and the scalar-operand stall
-            # check, which needs a live mapping) outright.  ``vpcs`` is a
-            # conservative superset of the live VRMT keys, and a VRMT probe
-            # for an unmapped PC has no side effects, so elided and executed
-            # decodes are indistinguishable.
-            vec_probe = False
-            if is_valu and vpcs is not None:
-                if pcs_soa[seq] in vpcs:
-                    vec_probe = True
-                else:
-                    r = d1s[seq]
-                    if r >= 0 and type(rename[r]) is tuple:
-                        vec_probe = True
-                    else:
-                        r = d2s[seq]
-                        if r >= 0 and type(rename[r]) is tuple:
-                            vec_probe = True
-            if (
-                block_scalar
-                and vec_probe
-                and self._blocked_on_scalar_operand(entry, now)
-            ):
-                stats.scalar_operand_stall_cycles += 1
-                break
-            fetch_queue.popleft()
-            dispatched += 1
-            rob_room -= 1
-
-            first_time = seq > max_seq
-            if first_time:
-                max_seq = seq
-                self._max_dispatched_seq = seq
-
-            decision = None
-            if engine is not None:
-                if kind == K_LOAD:
-                    decision = engine.decode_load(entry, now, first_time)
-                elif vec_probe and entry.rd != NO_REG:
-                    decision = engine.decode_alu(entry, self._src_descs(entry), now)
-
-            if decision is not None and decision.kind is not DecodeKind.SCALAR:
-                fl = VecInFlight(
-                    seq,
-                    entry,
-                    K_VALIDATION
-                    if decision.kind is DecodeKind.VALIDATION
-                    else K_TRIGGER,
-                    addrs[seq],
-                )
-                fl.vreg = decision.reg
-                fl.velem = decision.elem
-                p = decision.pred_addr
-                fl.pred_addr = p
-                # Both compare operands are fixed at decode (the engine's
-                # predicted address and the trace's actual one), so the
-                # validation verdict is precomputed here instead of
-                # re-deriving it in a batched compare every execute cycle.
-                if p is not None and p != entry.addr:
-                    fl.mismatch = True
-                fl.counts_as_validation = decision.counts_as_validation
-                fl.vrmt_rollback = decision.vrmt_rollback
-                fl.static_ready = ready_at
-                if kind == K_LOAD:
-                    # The address check needs the base register (AGU).
-                    r = d1s[seq]
-                    if r >= 0:
-                        fl.dep1 = rename[r]
-                rd = rds[seq]
-                if rd > 0:
-                    fl.saved_rd = rd
-                    fl.saved_tok = rename[rd]
-                    rename[rd] = (decision.reg, decision.elem)
-                rob.append(fl)
-                waiting.append(fl)
-                continue
-
-            # A scalar decision may still have touched the VRMT (entry
-            # invalidated or chain attempt failed); only then does the
-            # in-flight record need the vector-capable class for its
-            # rollback slot.
-            if decision is not None and decision.vrmt_rollback is not None:
-                fl = VecInFlight(seq, entry, kind, addrs[seq])
-                fl.vrmt_rollback = decision.vrmt_rollback
-            else:
-                fl = InFlight(seq, entry, kind, addrs[seq])
-            if kind == K_LOAD:
-                r = d1s[seq]
-                dep = rename[r] if r >= 0 else None
-                fl.base_dep = dep
-                fl.dep1 = dep
-                rd = rds[seq]
-                if rd > 0:
-                    fl.saved_rd = rd
-                    fl.saved_tok = rename[rd]
-                    rename[rd] = fl
-                lsq.append(fl)
-            elif kind == K_STORE:
-                r = d1s[seq]
-                base = rename[r] if r >= 0 else None
-                r = d2s[seq]
-                data = rename[r] if r >= 0 else None
-                fl.base_dep = base
-                fl.data_dep = data
-                fl.dep1 = base
-                fl.dep2 = data
-                lsq.append(fl)
-            else:
-                fl.cls = clss[seq]
-                fl.lat = lats[seq]
-                r = d1s[seq]
-                if r >= 0:
-                    fl.dep1 = rename[r]
-                r = d2s[seq]
-                if r >= 0:
-                    fl.dep2 = rename[r]
-                rd = rds[seq]
-                if rd > 0:
-                    fl.saved_rd = rd
-                    fl.saved_tok = rename[rd]
-                    rename[rd] = fl
-            fl.static_ready = ready_at
-            if packed & 1:
-                fl.mispredicted = True
-            rob.append(fl)
-            waiting.append(fl)
-        stats.fetched += dispatched
 
     def _blocked_on_scalar_operand(self, entry: TraceEntry, now: int) -> bool:
         """§3.2 / Fig 7: an instruction that *was previously vectorized*
@@ -1176,54 +517,43 @@ class Machine:
         self.fetch_unit.redirect(from_seq, resume_cycle)
 
     # ==================================================================
-    # main loop
+    # the cycle loop
     # ==================================================================
 
     def step(self, now: int) -> None:
-        """Simulate one cycle (commit -> execute/memory -> dispatch -> fetch).
+        """Simulate exactly one cycle, starting at ``now``.
 
-        Stages whose structures are provably idle this cycle are skipped
-        outright (an empty ROB cannot commit, an empty waiting list cannot
-        issue, ...); each guard reproduces the stage's own first-iteration
-        exit condition, so elided and executed cycles are indistinguishable.
+        Runs one pass of :meth:`_cycles`, the same body :meth:`run`
+        loops over, so single-stepped and run-to-completion machines are
+        bit-identical cycle for cycle.
         """
-        # Inlined ports.begin_cycle() — one call per simulated cycle.
-        ports = self.ports
-        ports.cycles += 1
-        ports._used_this_cycle = 0
-        engine = self.engine
-        if engine is not None and engine.pending_alu:
-            engine.tick(now)
-        rob = self.rob
-        if rob:
-            t = rob[0].done_at
-            if t is not None and t <= now:
-                self._commit(now)
-        if self.waiting or self._parked:
-            self._execute(now)
-        elif self.mem_queue or (engine is not None and engine.pending_fetches):
-            self._schedule_memory(now)
-        if self.fetch_queue:
-            self._dispatch(now)
-        fetch_queue = self.fetch_queue
-        room = self._fetch_queue_size - len(fetch_queue)
-        if room > 0:
-            self.fetch_unit.fetch_into(now, fetch_queue, room)
+        self._cycles(now, now + 1, sys.maxsize)
 
-    def _run_fast(self, total: int, safety: int) -> int:
-        """The unobserved main loop: :meth:`step`'s stage sequence with the
-        per-cycle stage bodies (commit, execute, dispatch) inlined and every
-        loop-invariant object hoisted to a local once.
+    def _cycles(self, now: int, stop: int, total: int) -> int:
+        """Simulate cycles ``now, now + 1, ...`` until ``total``
+        instructions have committed or cycle ``stop`` is reached; returns
+        the first cycle not simulated.
 
-        One simulated cycle costs one pass through this loop body instead
-        of five method calls each re-hoisting the same attributes.  The
-        stage bodies below MUST stay in lock-step with :meth:`_commit`,
-        :meth:`_execute` and :meth:`_dispatch` — observed (metrics /
-        profiler) runs and single-stepping tests use those canonical
-        methods, and the step-vs-run parity test holds the two paths to
-        bit-identical results.  Structures a squash rebinds (``waiting``,
-        ``lsq``, ``mem_queue``, ``_parked``) are re-read from ``self`` at
-        each stage; everything hoisted here is only ever mutated in place.
+        One cycle is commit -> execute -> memory -> dispatch -> fetch, in
+        that order.  Stages whose structures are provably idle this cycle
+        are skipped outright (an empty ROB cannot commit, an empty waiting
+        list cannot issue, ...); each guard reproduces the stage's own
+        first-iteration exit condition, so elided and executed stages are
+        indistinguishable.  The stage bodies are inlined and every
+        loop-invariant object is hoisted to a local once: one simulated
+        cycle costs one pass through this body instead of a method call
+        per stage, each re-hoisting the same attributes.  Structures a
+        squash rebinds (``waiting``, ``lsq``, ``mem_queue``, ``_parked``)
+        are re-read from ``self`` at each stage; everything hoisted here
+        is only ever mutated in place.
+
+        Observation hooks are hoisted locals too, each behind one
+        ``is not None`` test: the :class:`~repro.observe.StageProfiler`
+        clock reads around each stage, the ``kernel.batch_size``
+        histogram of execute-stage ready groups, and the
+        ``ports.occupancy`` series.  They only read clocks and counters,
+        never machine state, so observed runs are bit-identical to bare
+        ones — and the profile measures the loop every run takes.
         """
         ports = self.ports
         engine = self.engine
@@ -1249,7 +579,6 @@ class Machine:
         data_access = self.hierarchy.data_access
         commit_store = self.commit_memory.store
         line_bytes = self._line_bytes
-        kernel = self._kernel
         resolve_mispredict = self._resolve_mispredict
         flush_from = self._flush_from
         schedule_memory = self._schedule_memory
@@ -1286,19 +615,43 @@ class Machine:
             on_backward_branch_commit = engine.on_backward_branch_commit
         else:
             vpcs = None
+        # Observation hooks (None = dormant).
+        observer = self.observer
+        prof = bh = series = None
+        if observer is not None:
+            prof = observer.profiler
+            metrics = observer.metrics
+            if metrics is not None:
+                # One observation per non-empty ready group per cycle.
+                bh = metrics.histogram("kernel.batch_size").observe
+                series = metrics.series("ports.occupancy")
+                occupancy_mark = self._occupancy_mark
+                occupancy_scale = (_OCCUPANCY_MASK + 1) * ports.n_ports
+        if prof is not None:
+            clock = observe_profile.perf_counter
+            account = prof.account
+            wall_start = clock()
+        hooked = prof is not None or series is not None
         committed_count = self.committed_count
-        now = 0
         while committed_count < total:
             # ---- begin cycle (inlined ports.begin_cycle) -----------------
             ports.cycles += 1
             ports._used_this_cycle = 0
             if engine is not None and engine.pending_alu:
-                engine_tick(now)
+                if prof is None:
+                    engine_tick(now)
+                else:
+                    t0 = clock()
+                    engine_tick(now)
+                    # Vector ALU work: execute time, not an execute cycle.
+                    account("execute", clock() - t0, False)
 
-            # ---- commit (see _commit) ------------------------------------
+            # ---- commit ----------------------------------------------------
             if rob:
                 t = rob[0].done_at
                 if t is not None and t <= now:
+                    if prof is not None:
+                        t0 = clock()
                     committed = 0
                     stores_this_cycle = 0
                     while rob and committed < commit_width:
@@ -1330,6 +683,9 @@ class Machine:
                                 conflict = on_store_commit(fl.addr, now)
                         rob.popleft()
                         if kind == K_LOAD or kind == K_STORE:
+                            # In-order commit: the oldest memory op leaves
+                            # first, so this is lsq[0] except across a
+                            # just-flushed window.
                             lsq = self.lsq
                             if lsq[0] is fl:
                                 del lsq[0]
@@ -1338,7 +694,9 @@ class Machine:
                         committed += 1
                         stats.committed += 1
                         if cfi_windows:
-                            # ---- inlined _account_cfi (Fig 10) -----------
+                            # Fig 10: count committed instructions in the
+                            # 100 after each mispredicted branch, and which
+                            # of them reuse pre-flush vector work.
                             cseq = fl.seq
                             while cfi_windows and cseq > cfi_windows[0][0] + 100:
                                 cfi_windows.popleft()
@@ -1354,11 +712,16 @@ class Machine:
                                             and fl.vreg is not None
                                             and fl.velem >= 0
                                         ):
+                                            # Needed no execution: it
+                                            # validated vector state that
+                                            # survived the flush.
                                             stats.cfi_reused += 1
                                             rt = fl.vreg.r_time[fl.velem]
                                             if rt is not None and rt <= resolved:
                                                 stats.cfi_precomputed += 1
                         if engine is not None:
+                            # Vector-side commit state, which the scalar
+                            # (noIM/IM) machines do not have.
                             if kind >= K_VALIDATION:
                                 on_validation_commit(fl, now, ports)
                             rd = entry.rd
@@ -1378,13 +741,42 @@ class Machine:
                                 # rename, or a waiters list): recycle it.
                                 vec_pool.append(fl)
                         if conflict:
+                            # §3.6: squash everything younger than the store.
                             flush_from(fl.seq + 1, now + 1 + mispredict_penalty, now)
                             break
                     committed_count += committed
+                    if prof is not None:
+                        account("commit", clock() - t0)
 
-            # ---- execute / memory (see _execute) -------------------------
+            # ---- execute ---------------------------------------------------
+            # One batched pass over the waiting window.  Phase 1 walks the
+            # seq-sorted waiting list once, resolving dependences and
+            # routing *ready* instructions into per-kind groups
+            # (validations/triggers, zero-latency completions, issue ops);
+            # phases 2-4 then complete each group as a unit.  The split is
+            # exact because the deferred work has no intra-cycle feedback
+            # into phase 1's routing decisions:
+            #
+            # * validations and stores consume neither issue width nor FUs,
+            #   so extracting them from the seq-ordered scan leaves every
+            #   width/FU allocation decision — made in phase 4 in seq order
+            #   over the issue group — unchanged;
+            # * completion times assigned this cycle are always > ``now``,
+            #   so no instruction processed later in the same pass can
+            #   observe them as ready — consumers sleep on the producer's
+            #   ``waiters`` list and re-enter at exactly the cycle the
+            #   per-instruction rescan would have advanced;
+            # * a validation failure at seq F only flushes instructions
+            #   with seq >= F; phases 3-4 gate on F, and instructions older
+            #   than F are unaffected by the failure's vector-side writes.
             if self.waiting or self._parked:
+                if prof is not None:
+                    t0 = clock()
                 issues_left = width
+                # Parked instructions whose wake cycle has arrived rejoin
+                # the scan.  Both lists are seq-sorted, so extend+sort is a
+                # cheap two-run merge and the scan order matches the
+                # never-parked order.
                 parked = self._parked
                 if parked and parked[0][0] <= now:
                     waiting = self.waiting
@@ -1394,15 +786,35 @@ class Machine:
                 still_waiting: List[InFlight] = []
                 keep = still_waiting.append
                 flush_seq: Optional[int] = None
-                rv: Optional[List] = None
-                rf: Optional[List] = None
-                ri: Optional[List] = None
+                # Ready groups, built lazily (most cycles most are empty).
+                rv: Optional[List] = None  # validations / triggers
+                rf: Optional[List] = None  # zero-latency: stores + no-FU scalars
+                ri: Optional[List] = None  # issue ops: loads + FU scalars
+                # ---- phase 1: dependence scan + routing ------------------
                 for fl in self.waiting:
+                    # Dependence check, with compaction: a satisfied token
+                    # can never become unsatisfied again (done_at and
+                    # r_time are written once per object, ``now`` only
+                    # grows), so each slot is cleared the first cycle it is
+                    # ready and later rescans skip straight to the
+                    # structural checks.  A blocked instruction leaves the
+                    # scan instead of being rescanned every cycle: when the
+                    # blocking token's time is already known it parks on
+                    # the timed heap until that cycle; when the producer
+                    # has not issued yet (done_at still None) it sleeps on
+                    # the producer's ``waiters`` list and moves to the heap
+                    # the moment the producer's completion time is set.
+                    # Either way it rejoins the scan — in seq order —
+                    # exactly at the first cycle the every-cycle rescan
+                    # could have advanced past that token, so the elided
+                    # rescans are unobservable.
                     dep = fl.dep1
                     if dep is not None:
                         if type(dep) is tuple:
                             t = dep[0].r_time[dep[1]]
                             if t is None:
+                                # Unscheduled vector element: no wake hook;
+                                # rescan.
                                 keep(fl)
                                 continue
                             if t > now:
@@ -1474,35 +886,64 @@ class Machine:
                         rv.append(fl)
 
                 done1 = now + 1
+                # ---- phase 2: validations / triggers ---------------------
                 if rv is not None:
+                    if bh is not None:
+                        bh(len(rv))
                     for fl in rv:
+                        # Element still live and (for loads) predicted
+                        # address matches the actual one.  The address
+                        # verdict was precomputed at dispatch
+                        # (``fl.mismatch``): both operands are decode-time
+                        # constants.
                         vreg = fl.vreg
                         if vreg.freed or vreg.defunct or fl.mismatch:
+                            # Misspeculation: recover to scalar from here.
                             on_validation_failure(fl, now)
                             flush_seq = fl.seq
+                            # The rest of the group is younger: flushed.
                             break
                         t = vreg.r_time[fl.velem]
                         if t is not None:
                             if t <= now:
                                 fl.done_at = done1
                             else:
+                                # The completion time is known and r_time
+                                # is write-once while this op is in flight
+                                # (its U flag pins the register against
+                                # freeing/recycling), so the op cannot
+                                # become ready before cycle ``t``.  It can
+                                # only *fail* early via a defunct flip, and
+                                # both defunct writers already wake it: a
+                                # store-coherence conflict flushes
+                                # everything younger than the committing
+                                # store (which includes every parked op),
+                                # and a validation failure drains the park
+                                # heap below.  Parking is therefore exact.
                                 heappush(parked, (t, fl.seq, fl))
                         else:
                             keep(fl)
+                # ---- phase 3: zero-latency completions -------------------
                 if rf is not None:
                     for fl in rf:
                         if flush_seq is not None and fl.seq >= flush_seq:
                             break
                         fl.done_at = done1
                         if fl.kind != K_STORE:
+                            # Address generation + data capture for stores;
+                            # memory is written at commit and nothing
+                            # renames to a store.
                             if fl.waiters is not None:
-                                # ---- inlined _wake_waiters ---------------
+                                # Completion time now known: move sleepers
+                                # to the park heap (squashed ones dropped;
+                                # their re-fetched copies re-register).
                                 for c in fl.waiters:
                                     if not c.squashed:
                                         heappush(parked, (done1, c.seq, c))
                                 fl.waiters = None
                             if fl.mispredicted and not fl.redirected:
                                 resolve_mispredict(fl, now)
+                # ---- phase 4: issue (loads + FU ops, seq order, width-limited)
                 if ri is not None:
                     by_cls = {}
                     for fl in ri:
@@ -1512,7 +953,14 @@ class Machine:
                             if issues_left <= 0:
                                 keep(fl)
                                 continue
-                            # ---- inlined _try_load (see its docstring) ---
+                            # Disambiguation: every older store must have a
+                            # known address (base dep ready); the youngest
+                            # older store to the same address forwards.
+                            # ``res`` ends as None (issued: forwarded or
+                            # queued to the memory stage), -1 (blocked on
+                            # an unscheduled vector element: rescan), a
+                            # cycle > now to park until, or the blocking
+                            # producer to sleep on (time not yet known).
                             my_addr = fl.addr
                             my_seq = fl.seq
                             forwarding_store = None
@@ -1530,6 +978,9 @@ class Machine:
                                             res = -1
                                             break
                                         if t + 1 > now:
+                                            # Exact rejoin: the per-cycle
+                                            # rescan would first pass this
+                                            # store at t + 1 (write-once t).
                                             res = t + 1
                                             break
                                     else:
@@ -1586,7 +1037,9 @@ class Machine:
                         if issues_left <= 0:
                             keep(fl)
                             continue
-                        # ---- inlined _acquire_fu -------------------------
+                        # Grab a scalar FU: simple units are fully
+                        # pipelined, mul/div units are busy for the whole
+                        # operation (see _FU_BUSY).
                         cls = fl.cls
                         pool = fu_free.get(cls)
                         if pool is not None:
@@ -1603,10 +1056,17 @@ class Machine:
                             by_cls[cls] = [fl]
                         else:
                             group.append(fl)
+                    # Complete each functional class as one batch: one
+                    # shared completion time per class.
                     for cls, group in by_cls.items():
+                        if bh is not None:
+                            bh(len(group))
                         done = now + group[0].lat
                         for fl in group:
                             fl.done_at = done
+                            # Only scalar ALU ops and scalar loads ever
+                            # appear as producers in the rename map, so
+                            # only they can hold sleepers.
                             if fl.waiters is not None:
                                 for c in fl.waiters:
                                     if not c.squashed:
@@ -1616,19 +1076,30 @@ class Machine:
                                 resolve_mispredict(fl, now)
 
                 if flush_seq is not None and parked:
+                    # The failure defuncted a register; any parked op — in
+                    # particular an *older* validation of the same register
+                    # — must be rescanned so it notices the flip next
+                    # cycle, as an unparked entry would.  (Younger ones are
+                    # flushed below.)
                     still_waiting.extend(e[2] for e in parked)
                     del parked[:]
                 if len(still_waiting) > 1:
+                    # Phases 1/2/4 each keep in seq order, so this is a
+                    # cheap merge of a few sorted runs, restoring the
+                    # seq-sorted invariant the next scan relies on.
                     still_waiting.sort(key=_SEQ_KEY)
                 self.waiting = still_waiting
                 if flush_seq is not None:
                     flush_from(flush_seq, now + 1 + mispredict_penalty, now)
+                if prof is not None:
+                    account("execute", clock() - t0)
 
-            # ---- memory (see _schedule_memory; runs after execute whether
-            # or not execute had work this cycle — the if/elif pair in
-            # step() reduces to exactly this because _execute ends with the
-            # same check-and-call) --------------------------------------
+            # ---- memory ----------------------------------------------------
+            # L1 data-port transactions for queued loads and (V mode)
+            # speculative vector element fetches.
             if self.mem_queue or (engine is not None and engine.pending_fetches):
+                if prof is not None:
+                    t0 = clock()
                 if wide_bus:
                     queue = self.mem_queue
                     if (
@@ -1661,7 +1132,7 @@ class Machine:
                     else:
                         schedule_memory(now)
                 elif self.mem_queue and ports_available() != 0:
-                    # ---- inlined scalar-bus branch -----------------------
+                    # Scalar buses: one word per port per transaction.
                     queue = self.mem_queue
                     nq = len(queue)
                     served = 0
@@ -1687,9 +1158,17 @@ class Machine:
                         served += 1
                     if served:
                         self.mem_queue = queue[served:]
+                if prof is not None:
+                    account("memory", clock() - t0)
 
-            # ---- dispatch (see _dispatch) --------------------------------
+            # ---- dispatch --------------------------------------------------
+            # Rename and insert up to ``width`` fetched instructions into
+            # the window.  Static per-instruction properties come from the
+            # trace SoA arrays, indexed by the packed seq from the fetch
+            # queue.
             if fetch_queue:
+                if prof is not None:
+                    t0 = clock()
                 dispatched = 0
                 lsq = self.lsq
                 waiting = self.waiting
@@ -1706,6 +1185,15 @@ class Machine:
                         break
                     entry = entries[seq]
                     is_valu = valus[seq]
+                    # Vectorizer probe fast path: an arithmetic instruction
+                    # whose PC never had a VRMT mapping and whose renamed
+                    # sources are all scalar can only decode to a plain
+                    # scalar with no engine state touched — skip the decode
+                    # call (and the scalar-operand stall check, which needs
+                    # a live mapping).  ``vpcs`` is a conservative superset
+                    # of the live VRMT keys, and a VRMT probe for an
+                    # unmapped PC has no side effects, so elided and
+                    # executed decodes are indistinguishable.
                     vec_probe = False
                     if is_valu and vpcs is not None:
                         if pcs_soa[seq] in vpcs:
@@ -1756,12 +1244,15 @@ class Machine:
                         fl.velem = decision.elem
                         p = decision.pred_addr
                         fl.pred_addr = p
+                        # Both compare operands are fixed at decode, so the
+                        # validation verdict is precomputed here.
                         if p is not None and p != entry.addr:
                             fl.mismatch = True
                         fl.counts_as_validation = decision.counts_as_validation
                         fl.vrmt_rollback = decision.vrmt_rollback
                         fl.static_ready = ready_at
                         if kind == K_LOAD:
+                            # The address check needs the base register.
                             r = d1s[seq]
                             if r >= 0:
                                 fl.dep1 = rename[r]
@@ -1774,6 +1265,10 @@ class Machine:
                         waiting.append(fl)
                         continue
 
+                    # A scalar decision may still have touched the VRMT
+                    # (entry invalidated or chain attempt failed); only
+                    # then does the record need the vector-capable class
+                    # for its rollback slot.
                     if decision is not None and decision.vrmt_rollback is not None:
                         fl = VecInFlight(seq, entry, kind, addrs[seq])
                         fl.vrmt_rollback = decision.vrmt_rollback
@@ -1820,8 +1315,10 @@ class Machine:
                     rob.append(fl)
                     waiting.append(fl)
                 stats.fetched += dispatched
+                if prof is not None:
+                    account("dispatch", clock() - t0)
 
-            # ---- fetch ---------------------------------------------------
+            # ---- fetch -----------------------------------------------------
             # fetch_into's own early-outs, checked here to skip the call
             # during mispredict bubbles and after the trace runs dry.
             if (
@@ -1829,30 +1326,38 @@ class Machine:
                 and not fetch_unit._blocked
                 and now >= fetch_unit._stalled_until
             ):
-                fetch_into(now, fetch_queue, fq_size - len(fetch_queue))
+                if prof is None:
+                    fetch_into(now, fetch_queue, fq_size - len(fetch_queue))
+                else:
+                    t0 = clock()
+                    fetched = fetch_into(now, fetch_queue, fq_size - len(fetch_queue))
+                    account("fetch", clock() - t0, fetched > 0)
 
             now += 1
-            if now > safety:
-                self.committed_count = committed_count
-                raise RuntimeError(
-                    f"simulation wedged: {committed_count}/{total} "
-                    f"committed after {now} cycles"
-                )
+            if hooked:
+                if prof is not None:
+                    prof.tick()
+                if series is not None and not (now & _OCCUPANCY_MASK):
+                    busy = ports.busy_port_cycles
+                    series.append(now, (busy - occupancy_mark) / occupancy_scale)
+                    occupancy_mark = busy
+            if now >= stop:
+                break
         self.committed_count = committed_count
+        if series is not None:
+            self._occupancy_mark = occupancy_mark
+        if prof is not None:
+            prof.wall_seconds += clock() - wall_start
         return now
 
     def run(self) -> SimStats:
         """Simulate until the whole trace has committed; returns stats."""
         total = len(self.trace.entries)
-        stats = self.stats
         if total == 0:
-            return stats
-        now = 0
+            return self.stats
+        # A healthy machine commits well within this; past it, report a
+        # wedge instead of spinning forever.
         safety = 2000 + 600 * total
-        obs = self.observer
-        observed = obs is not None and (
-            obs.metrics is not None or obs.profiler is not None
-        )
         # The loop allocates heavily (InFlight, dep tuples) but creates no
         # reference cycles worth collecting mid-run; pausing the cyclic GC
         # saves its generation-0 scans.  Restore the caller's setting after.
@@ -1860,133 +1365,32 @@ class Machine:
         if gc_was_enabled:
             gc.disable()
         try:
-            if observed:
-                now = self._run_observed(total, safety)
-            elif not _STAGE_METHODS.isdisjoint(self.__dict__):
-                # A stage method is overridden on the *instance* (test
-                # spies, ad-hoc instrumentation).  The fused loop inlines
-                # the class's stage bodies and would silently bypass the
-                # override, so patched machines take the canonical
-                # step() loop — bit-identical by the loop-parity test.
-                now = self._run_stepped(total, safety)
-            else:
-                now = self._run_fast(total, safety)
+            now = self._cycles(0, safety + 1, total)
         finally:
             if gc_was_enabled:
                 gc.enable()
+        if self.committed_count < total:
+            raise RuntimeError(
+                f"simulation wedged: {self.committed_count}/{total} "
+                f"committed after {now} cycles"
+            )
+        return self.finish(now)
+
+    def finish(self, now: int) -> SimStats:
+        """Close the run at cycle ``now`` (the first cycle not simulated):
+        finalize the end-of-run statistics and return them.  :meth:`run`
+        calls this; a caller driving :meth:`step` itself calls it once
+        the trace has committed."""
+        stats = self.stats
         stats.cycles = now
         if self.engine is not None:
             self.engine.finalize(now)
         stats.usefulness = self.ports.usefulness_histogram()
         stats.port_occupancy = self.ports.occupancy
-        if observed and obs.metrics is not None:
+        obs = self.observer
+        if obs is not None and obs.metrics is not None:
             self._record_metrics(obs.metrics)
         return stats
-
-    def _run_stepped(self, total: int, safety: int) -> int:
-        """Canonical per-stage loop, one :meth:`step` call per cycle.
-
-        Used when a stage method has been overridden on the instance so
-        the override is actually consulted every cycle.
-        """
-        step = self.step
-        now = 0
-        while self.committed_count < total:
-            step(now)
-            now += 1
-            if now > safety:
-                raise RuntimeError(
-                    f"simulation wedged: {self.committed_count}/{total} "
-                    f"committed after {now} cycles"
-                )
-        return now
-
-    def _run_observed(self, total: int, safety: int) -> int:
-        """The run loop for metrics-sampling and/or stage-profiled runs.
-
-        Split out of :meth:`run` so unobserved runs keep the bare loop;
-        results are bit-identical either way — these hooks only read
-        clocks and counters, never machine state.
-        """
-        obs = self.observer
-        profiler = obs.profiler
-        metrics = obs.metrics
-        series = metrics.series("ports.occupancy") if metrics is not None else None
-        if metrics is not None:
-            # Arm the execute-stage batch-size histogram (one observation
-            # per non-empty ready group per cycle).
-            self._batch_hist = metrics.histogram("kernel.batch_size").observe
-        ports = self.ports
-        n_ports = ports.n_ports
-        sample_mask = 0x0FFF  # one occupancy sample every 4096 cycles
-        last_busy = 0
-        step = self.step if profiler is None else self._step_profiled
-        now = 0
-        wall_start = observe_profile.perf_counter() if profiler is not None else 0.0
-        while self.committed_count < total:
-            step(now)
-            now += 1
-            if series is not None and not (now & sample_mask):
-                busy = ports.busy_port_cycles
-                series.append(now, (busy - last_busy) / ((sample_mask + 1) * n_ports))
-                last_busy = busy
-            if now > safety:
-                raise RuntimeError(
-                    f"simulation wedged: {self.committed_count}/{total} "
-                    f"committed after {now} cycles"
-                )
-        if profiler is not None:
-            profiler.wall_seconds += observe_profile.perf_counter() - wall_start
-        return now
-
-    def _step_profiled(self, now: int) -> None:
-        """:meth:`step` with wall-clock attribution around each stage.
-
-        The stage guards MUST stay in lock-step with :meth:`step` — the
-        profiled run stays bit-identical because the hooks only read the
-        clock.  Port scheduling reached from inside the execute stage is
-        attributed to ``memory`` by :meth:`_execute` itself (via
-        ``self._profiler``) and subtracted from this frame's ``execute``
-        share, so the two stages always partition the real wall time.
-        """
-        prof = self.observer.profiler
-        self._profiler = prof
-        clock = observe_profile.perf_counter
-        ports = self.ports
-        ports.cycles += 1
-        ports._used_this_cycle = 0
-        engine = self.engine
-        if engine is not None and engine.pending_alu:
-            t0 = clock()
-            engine.tick(now)
-            prof.account("execute", clock() - t0, active=False)
-        rob = self.rob
-        if rob:
-            t = rob[0].done_at
-            if t is not None and t <= now:
-                t0 = clock()
-                self._commit(now)
-                prof.account("commit", clock() - t0)
-        if self.waiting or self._parked:
-            self._mem_seconds = 0.0
-            t0 = clock()
-            self._execute(now)
-            prof.account("execute", clock() - t0 - self._mem_seconds)
-        elif self.mem_queue or (engine is not None and engine.pending_fetches):
-            t0 = clock()
-            self._schedule_memory(now)
-            prof.account("memory", clock() - t0)
-        if self.fetch_queue:
-            t0 = clock()
-            self._dispatch(now)
-            prof.account("dispatch", clock() - t0)
-        fetch_queue = self.fetch_queue
-        room = self._fetch_queue_size - len(fetch_queue)
-        if room > 0:
-            t0 = clock()
-            fetched = self.fetch_unit.fetch_into(now, fetch_queue, room)
-            prof.account("fetch", clock() - t0, active=bool(fetched))
-        prof.tick()
 
     def _record_metrics(self, registry) -> None:
         """End-of-run machine-level gauges (cache and port accounting).

@@ -14,7 +14,7 @@ What is warmed, and the detailed-path behaviour each line mirrors:
   reset after every taken control transfer (``FetchUnit.fetch_cycle_group``
   probes on line changes and clears ``_last_line`` after a taken branch).
 * **D-cache / L2** — every load and store touches the data side with the
-  access's write flag (``Machine`` issues loads from ``_schedule_memory``
+  access's write flag (``Machine`` issues loads from its memory stage
   and stores at commit; both end in ``MemoryHierarchy.data_access``).
 * **Branch predictors** — conditional branches train gshare, ``JR``
   trains the indirect last-target table (``FetchUnit`` consults and

@@ -35,13 +35,6 @@ and the API tests all run.  Emitting a ``"repro.*/v*"`` string literal
 outside this module is deprecated — import the ``SCHEMA_*`` constants
 instead (the canonical re-export site is :mod:`repro.api`).
 
-Deprecated spellings: the CLI ``figures`` command historically emitted
-``repro.figures/v1`` for its multi-figure payload while the API emitted
-``repro.figure/v1`` for a single figure.  The collection payload is now
-canonically ``repro.figure.set/v1``; ``repro.figures/v1`` is accepted by
-:func:`validate_envelope` as a deprecated alias for one release (see
-:data:`DEPRECATED_ALIASES`) and will then be rejected.
-
 This module is deliberately stdlib-only and dependency-free so every
 layer (``repro.verify``, ``repro.service``, the CLI) can import it
 without cycles; :mod:`repro.api` re-exports and documents it.
@@ -69,21 +62,11 @@ SCHEMA_FUZZ_REPRO = "repro.fuzz.repro/v1"
 SCHEMA_FUZZ_REPLAY = "repro.fuzz.replay/v1"
 SCHEMA_FUZZ_CORPUS = "repro.fuzz.corpus/v1"
 SCHEMA_ERROR = "repro.error/v1"
-#: v2 added the terminal ``cancelled`` job state (``DELETE /jobs/<id>``);
-#: v1 payloads (no such state) are still accepted by the validator.
+#: v2 added the terminal ``cancelled`` job state (``DELETE /jobs/<id>``).
 SCHEMA_JOB = "repro.service.job/v2"
-SCHEMA_JOB_V1 = "repro.service.job/v1"
 SCHEMA_SERVICE_STATUS = "repro.service.status/v1"
 SCHEMA_SERVICE_METRICS = "repro.service.metrics/v1"
 SCHEMA_SERVICE_EVENT = "repro.service.event/v1"
-
-#: accepted-but-deprecated spellings -> their canonical schema.  Each
-#: entry lives exactly one release: emitters already use the canonical
-#: name, the validator still accepts the old one (flagged), and the next
-#: release drops the row.
-DEPRECATED_ALIASES: Dict[str, str] = {
-    "repro.figures/v1": SCHEMA_FIGURE_SET,
-}
 
 _NAME_RE = re.compile(r"^(?P<name>[a-z][a-z0-9._]*)/v(?P<version>\d+)$")
 
@@ -203,24 +186,21 @@ def _check_error_schema(payload: Dict) -> None:
         raise EnvelopeError(f"{SCHEMA_ERROR} envelopes must carry an error object")
 
 
-def _check_job_schema(*states: str) -> Validator:
-    """A job-envelope validator pinning the legal ``job.state`` values.
+#: the legal ``job.state`` values of a ``repro.service.job/v2`` payload.
+_JOB_STATES = ("queued", "running", "done", "failed", "cancelled")
 
-    This is what the version bump *means*: v1 knows four states, v2 adds
-    ``cancelled`` — a v1 payload claiming ``cancelled`` is malformed.
-    """
-    require = _required_keys("job")
+_require_job = _required_keys("job")
 
-    def check(payload: Dict) -> None:
-        require(payload)
-        job = payload.get("job")
-        if isinstance(job, dict) and "state" in job and job["state"] not in states:
-            raise EnvelopeError(
-                f"{payload['schema']}: unknown job state {job['state']!r} "
-                f"(legal: {states})"
-            )
 
-    return check
+def _check_job_schema(payload: Dict) -> None:
+    """A job envelope carries ``job`` and a known ``job.state``."""
+    _require_job(payload)
+    job = payload.get("job")
+    if isinstance(job, dict) and "state" in job and job["state"] not in _JOB_STATES:
+        raise EnvelopeError(
+            f"{payload['schema']}: unknown job state {job['state']!r} "
+            f"(legal: {_JOB_STATES})"
+        )
 
 
 #: the registry: unversioned name -> version -> validator.  Adding a
@@ -239,10 +219,7 @@ SCHEMAS: Dict[str, Dict[int, Validator]] = {
     "repro.fuzz.replay": {1: _required_keys("artifact", "matches", "recorded", "replayed")},
     "repro.fuzz.corpus": {1: _required_keys("root", "entries", "coverage_pairs")},
     "repro.error": {1: _check_error_schema},
-    "repro.service.job": {
-        1: _check_job_schema("queued", "running", "done", "failed"),
-        2: _check_job_schema("queued", "running", "done", "failed", "cancelled"),
-    },
+    "repro.service.job": {2: _check_job_schema},
     "repro.service.status": {1: _required_keys("service")},
     "repro.service.metrics": {1: _required_keys("metrics", "latency")},
     "repro.service.event": {1: _required_keys("event")},
@@ -252,12 +229,10 @@ SCHEMAS: Dict[str, Dict[int, Validator]] = {
 def validate_envelope(payload) -> Dict:
     """Check one payload against the envelope contract and its schema.
 
-    Returns ``{"name", "version", "schema", "deprecated"}`` on success
-    (``schema`` is the *canonical* spelling — compare it when the input
-    may use a deprecated alias); raises :class:`EnvelopeError` otherwise.
+    Returns ``{"name", "version", "schema"}`` on success; raises
+    :class:`EnvelopeError` otherwise.
 
-    The contract: ``schema`` names a registered schema (canonical or a
-    :data:`DEPRECATED_ALIASES` spelling), ``ok`` is a bool, ``error`` is
+    The contract: ``schema`` names a registered schema, ``ok`` is a bool, ``error`` is
     present and is ``None`` exactly when ``ok`` is true; a populated
     error satisfies the ``repro.error/v1`` object shape; schema-specific
     required payload keys are present on success.
@@ -267,9 +242,7 @@ def validate_envelope(payload) -> Dict:
     schema = payload.get("schema")
     if not isinstance(schema, str):
         raise EnvelopeError("envelope missing 'schema'")
-    deprecated = schema in DEPRECATED_ALIASES
-    canonical = DEPRECATED_ALIASES.get(schema, schema)
-    name, version = split_schema(canonical)
+    name, version = split_schema(schema)
     versions = SCHEMAS.get(name)
     if versions is None or version not in versions:
         raise EnvelopeError(f"unknown schema {schema!r}")
@@ -287,12 +260,7 @@ def validate_envelope(payload) -> Dict:
     if error is not None:
         _check_error_object(error)
     versions[version](payload)
-    return {
-        "name": name,
-        "version": version,
-        "schema": canonical,
-        "deprecated": deprecated,
-    }
+    return {"name": name, "version": version, "schema": schema}
 
 
 def schema_names() -> Tuple[str, ...]:
@@ -303,7 +271,6 @@ def schema_names() -> Tuple[str, ...]:
 
 
 __all__ = [
-    "DEPRECATED_ALIASES",
     "ERROR_REQUIRED_KEYS",
     "EnvelopeError",
     "SCHEMAS",
@@ -319,7 +286,6 @@ __all__ = [
     "SCHEMA_GRID",
     "SCHEMA_HEADLINE",
     "SCHEMA_JOB",
-    "SCHEMA_JOB_V1",
     "SCHEMA_RUN",
     "SCHEMA_SERVICE_EVENT",
     "SCHEMA_SERVICE_METRICS",

@@ -1,5 +1,7 @@
 """Trace serialization round trips and timing-model equivalence."""
 
+import json
+
 import pytest
 
 from repro.functional.traceio import (
@@ -79,15 +81,16 @@ def test_wrong_version_rejected():
 
 
 def test_bad_row_rejected(sum_loop):
-    text = dumps_trace(sum_loop, version=2)
-    lines = text.splitlines()
-    lines[3] = "[1, 2, 3]"  # malformed entry row
-    with pytest.raises(TraceFormatError):
-        loads_trace("\n".join(lines) + "\n")
+    """A header whose entry count disagrees with the column block."""
+    header, body = dumps_trace(sum_loop).splitlines()
+    meta = json.loads(header)
+    meta["entries"] += 1
+    with pytest.raises(TraceFormatError, match="column block"):
+        loads_trace(json.dumps(meta) + "\n" + body + "\n")
 
 
 # ---------------------------------------------------------------------------
-# packed format 3 vs legacy formats
+# packed format
 # ---------------------------------------------------------------------------
 
 
@@ -96,31 +99,6 @@ def test_default_format_is_packed(sum_loop):
     header = text.splitlines()[0]
     assert '"format": 3' in header
     assert len(text.splitlines()) == 2  # header + one packed body line
-
-
-def test_packed_format_is_smaller(sum_loop):
-    packed = dumps_trace(sum_loop)
-    legacy = dumps_trace(sum_loop, version=2)
-    assert len(packed) < len(legacy) / 4
-
-
-def test_legacy_format2_still_loads(sum_loop):
-    """Files written before the packed format stay readable (fallback)."""
-    legacy = loads_trace(dumps_trace(sum_loop, version=2))
-    packed = loads_trace(dumps_trace(sum_loop))
-    assert len(legacy.entries) == len(packed.entries)
-    for a, b in zip(legacy.entries, packed.entries):
-        assert (a.seq, a.pc, a.op, a.s1, a.s2, a.value, a.addr, a.taken) == (
-            b.seq, b.pc, b.op, b.s1, b.s2, b.value, b.addr, b.taken,
-        )
-    assert legacy.final_int_regs == packed.final_int_regs
-    assert legacy.final_fp_regs == packed.final_fp_regs
-    assert legacy.initial_memory == packed.initial_memory
-
-
-def test_unwritable_version_rejected(sum_loop):
-    with pytest.raises(ValueError):
-        dumps_trace(sum_loop, version=1)
 
 
 def test_corrupt_packed_body_rejected(sum_loop):

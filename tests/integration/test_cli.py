@@ -135,17 +135,6 @@ def test_zero_sampling_flags_are_rejected(flag, capsys):
     assert "positive integer" in capsys.readouterr().err
 
 
-def test_figure_runners_shim_warns_but_works():
-    import repro.__main__ as module
-
-    with pytest.warns(DeprecationWarning, match="FIGURE_RUNNERS"):
-        runners = module.FIGURE_RUNNERS
-    assert "fig14" in runners and len(runners["fig14"]) == 3
-    rows_fn, title, points_fn = runners["fig14"]
-    assert callable(rows_fn) and callable(points_fn)
-    assert "Figure 14" in title
-
-
 def test_cache_info_breaks_down_sections(capsys):
     assert main(["cache", "info"]) == 0
     out = capsys.readouterr().out

@@ -45,19 +45,18 @@ STRIDED = """
 
 
 def test_rob_commits_in_order():
+    """Commit runs first in a cycle and pops the ROB head, so the
+    instructions a step commits are the oldest ROB entries before it."""
     machine, trace = make_machine(STRIDED, mode="noIM")
     committed_seqs = []
-    original = machine._commit
-
-    def spy(now):
+    now = 0
+    while machine.committed_count < len(trace.entries):
+        head = [fl.seq for fl in machine.rob]
         before = machine.committed_count
-        original(now)
-        committed_seqs.extend(range(before, machine.committed_count))
-
-    machine._commit = spy
-    machine.run()
-    assert committed_seqs == sorted(committed_seqs)
-    assert len(committed_seqs) == len(trace.entries)
+        machine.step(now)
+        committed_seqs.extend(head[: machine.committed_count - before])
+        now += 1
+    assert committed_seqs == list(range(len(trace.entries)))
 
 
 def test_rob_capacity_respected():

@@ -1,6 +1,6 @@
 """The v2 envelope contract: every registered schema round-trips through
-``validate_envelope``, the ok/error coupling is enforced, and the
-deprecated ``repro.figures/v1`` alias behaves exactly as promised."""
+``validate_envelope``, the ok/error coupling is enforced, and retired
+schema spellings are rejected."""
 
 from __future__ import annotations
 
@@ -8,9 +8,7 @@ import pytest
 
 from repro import api
 from repro.schemas import (
-    DEPRECATED_ALIASES,
     SCHEMA_ERROR,
-    SCHEMA_FIGURE_SET,
     SCHEMAS,
     EnvelopeError,
     envelope,
@@ -54,7 +52,6 @@ MINIMAL = {
         "repro.fuzz.corpus/v1", root=".", entries=0, coverage_pairs=0
     ),
     "repro.error/v1": error_envelope("kind", "message"),
-    "repro.service.job/v1": envelope("repro.service.job/v1", job={}),
     "repro.service.job/v2": envelope(
         "repro.service.job/v2", job={"state": "cancelled"}
     ),
@@ -68,12 +65,10 @@ MINIMAL = {
 
 def test_every_schema_round_trips():
     """The MINIMAL table covers the registry exactly, and every row
-    validates as its own canonical, non-deprecated schema."""
+    validates as its own schema."""
     assert set(MINIMAL) == set(schema_names())
     for name, payload in MINIMAL.items():
-        info = validate_envelope(payload)
-        assert info["schema"] == name
-        assert info["deprecated"] is False
+        assert validate_envelope(payload)["schema"] == name
 
 
 def test_ok_error_coupling_enforced():
@@ -112,36 +107,23 @@ def test_error_object_shape_enforced():
 
 
 def test_job_schema_states_are_versioned():
-    """``cancelled`` exists only from v2 on: a v1 payload claiming it is
-    malformed, and neither version accepts an invented state."""
-    with pytest.raises(EnvelopeError, match="unknown job state"):
-        validate_envelope(
-            envelope("repro.service.job/v1", job={"state": "cancelled"})
-        )
+    """Only v2 (which added ``cancelled``) is registered: a v1 payload is
+    an unknown schema, and v2 rejects an invented state."""
+    with pytest.raises(EnvelopeError, match="unknown schema"):
+        validate_envelope(envelope("repro.service.job/v1", job={"state": "done"}))
     with pytest.raises(EnvelopeError, match="unknown job state"):
         validate_envelope(
             envelope("repro.service.job/v2", job={"state": "paused"})
         )
-    validate_envelope(envelope("repro.service.job/v1", job={"state": "done"}))
+    validate_envelope(envelope("repro.service.job/v2", job={"state": "cancelled"}))
 
 
 def test_figures_alias_accepted_one_release_only():
-    """``repro.figures/v1`` (the CLI's historical spelling) validates as a
-    *deprecated* alias of ``repro.figure.set/v1`` for exactly one release.
-
-    This test pins both sides of the bargain: the alias is accepted and
-    flagged **now**, and the alias table contains nothing else — when the
-    row is dropped next release, flip this test to assert
-    ``validate_envelope`` raises ``EnvelopeError`` for the old spelling.
-    """
-    payload = envelope("repro.figures/v1", grid={}, figures={})
-    info = validate_envelope(payload)
-    assert info["deprecated"] is True
-    assert info["schema"] == SCHEMA_FIGURE_SET
-    assert info["name"] == "repro.figure.set"
-    assert DEPRECATED_ALIASES == {"repro.figures/v1": SCHEMA_FIGURE_SET}
-    # the alias is a validator-side accommodation only: it is NOT a
-    # registered schema and emitters must not produce it
+    """``repro.figures/v1`` (the CLI's historical spelling of
+    ``repro.figure.set/v1``) was accepted as an alias for one release;
+    that release is over, so it is now an unknown schema."""
+    with pytest.raises(EnvelopeError, match="unknown schema"):
+        validate_envelope(envelope("repro.figures/v1", grid={}, figures={}))
     assert "repro.figures" not in SCHEMAS
     assert "repro.figures/v1" not in schema_names()
 
