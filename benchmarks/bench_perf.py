@@ -53,21 +53,14 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import pathlib
-import shutil
 import sys
-import tempfile
 import time
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 if str(REPO_ROOT / "src") not in sys.path:
     sys.path.insert(0, str(REPO_ROOT / "src"))
 
-import repro.functional.trace as trace_mod  # noqa: E402
-from repro.experiments import diskcache  # noqa: E402
-from repro.functional import traceio  # noqa: E402
-from repro.functional.trace import TraceSoA  # noqa: E402
 from repro.observe import MetricsRegistry, Observer, StageProfiler  # noqa: E402
 from repro.pipeline.config import make_config  # noqa: E402
 from repro.pipeline.machine import Machine  # noqa: E402
@@ -304,70 +297,6 @@ def observe_check(tolerance: float, scale: int = SCALE, rounds: int = ROUNDS) ->
     return 0
 
 
-def soa_check(scale: int = SCALE) -> int:
-    """CI guard: the persisted-predecode (``soa``) cache must pay for
-    itself.
-
-    In a throwaway cache directory: one cold run builds and persists the
-    predecode, then the guard asserts that a warm load (a) decodes
-    strictly faster than rebuilding the :class:`TraceSoA` from the
-    in-memory entries — best-of-N ``process_time`` on both sides in the
-    same process, so host speed cancels — and (b) skips the per-entry
-    build scan entirely (the ``SOA_BUILDS`` counter stays flat across a
-    warm ``cached_trace``).  If either fails the cache is dead weight and
-    the serialization format needs rework.
-    """
-    name = POINTS["vector_V"][0]
-    saved = {
-        key: os.environ.get(key) for key in ("REPRO_CACHE_DIR", "REPRO_NO_DISK_CACHE")
-    }
-    tmp = tempfile.mkdtemp(prefix="repro-soa-check-")
-    try:
-        os.environ["REPRO_CACHE_DIR"] = tmp
-        os.environ.pop("REPRO_NO_DISK_CACHE", None)
-        cached_trace.cache_clear()
-        trace = cached_trace(name, scale)  # cold: builds + persists the predecode
-        key = diskcache.soa_key(name, scale, 0)
-        text = (pathlib.Path(tmp) / "soa" / f"{key}.soa").read_text()
-
-        def best_ms(fn, reps: int = 30) -> float:
-            best = float("inf")
-            for _ in range(reps):
-                t0 = time.process_time()
-                fn()
-                best = min(best, time.process_time() - t0)
-            return best * 1e3
-
-        build_ms = best_ms(lambda: TraceSoA(trace.entries))
-        load_ms = best_ms(lambda: traceio.loads_soa(text))
-
-        cached_trace.cache_clear()  # force the disk path for the warm run
-        before = trace_mod.SOA_BUILDS
-        warm = cached_trace(name, scale)
-        rebuilds = trace_mod.SOA_BUILDS - before
-        attached = warm.soa() is not None and trace_mod.SOA_BUILDS == before
-    finally:
-        for key, value in saved.items():
-            if value is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = value
-        cached_trace.cache_clear()
-        shutil.rmtree(tmp, ignore_errors=True)
-    print(
-        f"soa warm load {load_ms:.2f} ms vs entry-scan rebuild {build_ms:.2f} ms "
-        f"({name}, {scale} entries); warm rebuilds: {rebuilds}"
-    )
-    if load_ms >= build_ms:
-        print("FAIL: warm soa load is not cheaper than rebuilding the predecode")
-        return 1
-    if rebuilds or not attached:
-        print("FAIL: warm run did not serve the predecode from the soa cache")
-        return 1
-    print("OK: warm soa-cache loads beat the predecode scan and skip it entirely")
-    return 0
-
-
 def check_regression(tolerance: float, scale: int = SCALE, rounds: int = ROUNDS) -> int:
     """CI guard: fail when throughput regresses below the recorded floor.
 
@@ -417,12 +346,6 @@ def append_history(payload: dict, timestamp: str | None) -> list:
     timestamp comes from the ``--timestamp`` CLI arg (e.g.
     ``--timestamp "$(date -u +%Y-%m-%dT%H:%M:%SZ)"``) so the harness
     itself stays deterministic; ``null`` is recorded when absent.
-
-    Each entry also snapshots the disk-cache counters accumulated over
-    the run (trace and soa-predecode hits/misses): a history where
-    ``soa_hits`` is zero means the timed runs paid the per-entry
-    predecode scan, i.e. numbers across entries were not measured under
-    the same cache regime.
     """
     history: list = []
     if RESULT_PATH.exists():
@@ -430,19 +353,12 @@ def append_history(payload: dict, timestamp: str | None) -> list:
             history = json.loads(RESULT_PATH.read_text()).get("history", [])
         except (ValueError, OSError):
             history = []
-    counters = diskcache.COUNTERS
     history.append(
         {
             "timestamp": timestamp,
             "current_kips": payload["current_kips"],
             "speedup": payload["speedup"],
             "min_speedup": payload["min_speedup"],
-            "cache": {
-                "trace_hits": counters.trace_hits,
-                "trace_misses": counters.trace_misses,
-                "soa_hits": counters.soa_hits,
-                "soa_misses": counters.soa_misses,
-            },
         }
     )
     return history
@@ -481,12 +397,6 @@ def main(argv=None) -> int:
         help="allowed fractional tracing-off slowdown (default 0.03)",
     )
     parser.add_argument(
-        "--soa-check",
-        action="store_true",
-        help="guard: a warm soa-predecode cache load must beat rebuilding "
-        "from entries and must skip the per-entry build scan",
-    )
-    parser.add_argument(
         "--scale",
         type=int,
         default=SCALE,
@@ -500,8 +410,6 @@ def main(argv=None) -> int:
         help="best-of repetitions per point (default %(default)s)",
     )
     args = parser.parse_args(argv)
-    if args.soa_check:
-        return soa_check(args.scale)
     if args.observe_check:
         return observe_check(args.observe_tolerance, args.scale, args.rounds)
     if args.check:
@@ -569,17 +477,6 @@ def test_profile_section_reports_batch_widths():
     # The deferred cross-cycle ALU batches are the V-gap tentpole: they
     # must exist and be wider than the per-cycle issue width.
     assert engine["batches"] > 0 and engine["median"] > 4
-
-
-def test_soa_check_guard_passes_here():
-    """The cold/warm soa guard holds at the benchmark scale in-process.
-
-    Deliberately *not* reduced-scale: the decode has a fixed overhead
-    (header parse, Base85, zlib) that amortizes over entries — the
-    strictly-cheaper contract is claimed, and so must be proven, at the
-    scale the timed benchmark actually runs.
-    """
-    assert soa_check() == 0
 
 
 def test_sampled_harness_runs():

@@ -1,20 +1,14 @@
-"""Persistent on-disk cache for simulation results and functional traces.
+"""Persistent on-disk cache for simulation results.
 
 The full figure grid — 12 benchmarks x {4,8}-way x {1,2,4} ports x
 {noIM, IM, V} — is the dominant wall-clock cost of every development
 loop on a pure-Python cycle model.  The grid is also perfectly
 replayable: a (benchmark, scale, seed, machine-configuration) point plus
 the simulator sources determines its :class:`~repro.pipeline.stats.SimStats`
-bit for bit.  This module caches both layers on disk:
+bit for bit.  This module caches on disk:
 
 * **stats/** — one JSON file per simulated grid point (exact or sampled;
   sampled keys carry the sampling parameters);
-* **traces/** — one serialized functional trace per (benchmark, scale,
-  seed), in the :mod:`repro.functional.traceio` format;
-* **soa/** — the :class:`~repro.functional.trace.TraceSoA` predecode of
-  each cached trace (versioned columnar payload): warm runs attach it
-  instead of re-scanning every entry, so repeated experiments skip the
-  functional re-decode as well as the functional execution;
 * **checkpoints/** — warmed microarchitectural state (cache contents,
   predictor tables, architectural memory) at sampled-window boundaries,
   written by :mod:`repro.sampling` so re-runs and pool workers
@@ -30,6 +24,14 @@ bit for bit.  This module caches both layers on disk:
   ``stats/`` and carry the source digest; a manifest whose points went
   stale simply resolves to recomputation).
 
+Functional traces and their :class:`~repro.functional.trace.TraceSoA`
+predecode are *not* persisted: rebuilding them costs less than the
+serialize/parse round-trip (docs/PERFORMANCE.md), so
+:func:`repro.workloads.spec95.cached_trace` memoizes them in-process
+only.  The ``traces/`` and ``soa/`` sections remain known to
+``cache info``/``cache clear`` so entries written by older versions can
+still be reclaimed.
+
 Keying — entries self-invalidate when anything that could change the
 result changes:
 
@@ -39,9 +41,7 @@ result changes:
 * a digest of the simulator's own source code (every ``repro`` module
   that feeds the result: isa, functional, workloads, frontend, memory,
   core, pipeline).  Editing the simulator orphans old entries rather than
-  serving stale results.  Trace entries hash only the trace-relevant
-  subset (isa + functional + workloads), so a timing-model edit keeps
-  functional traces warm.
+  serving stale results.
 
 Location: ``$REPRO_CACHE_DIR`` if set, else ``$XDG_CACHE_HOME/repro``,
 else ``~/.cache/repro``.  Set ``REPRO_CACHE_DIR=`` (empty) or
@@ -69,18 +69,19 @@ import tempfile
 from typing import Dict, Optional, Tuple
 
 from ..functional import traceio
-from ..functional.trace import Trace
 from ..pipeline.config import MachineConfig
 from ..pipeline.stats import SimStats
 
 #: bumped whenever the on-disk layout or serialization changes.
 CACHE_FORMAT = 1
 
-#: source groups hashed into cache keys.  Trace results depend only on
-#: the functional subset; stats depend on everything; sampled results and
-#: checkpoints additionally depend on the sampling subsystem.
-_TRACE_SOURCE_PACKAGES = ("isa", "functional", "workloads")
-_STATS_SOURCE_PACKAGES = _TRACE_SOURCE_PACKAGES + (
+#: source groups hashed into cache keys.  Stats depend on everything
+#: that feeds a simulation; sampled results and checkpoints additionally
+#: depend on the sampling subsystem.
+_STATS_SOURCE_PACKAGES = (
+    "isa",
+    "functional",
+    "workloads",
     "frontend",
     "memory",
     "core",
@@ -90,7 +91,11 @@ _SAMPLING_SOURCE_PACKAGES = _STATS_SOURCE_PACKAGES + ("sampling",)
 
 
 class CacheCounters:
-    """Process-wide cache accounting (reset per CLI invocation)."""
+    """Process-wide cache accounting (reset per CLI invocation).
+
+    ``trace_*`` and ``soa_*`` stay at zero (traces are no longer
+    persisted); they remain because ``perfbench/harness.py`` reads them.
+    """
 
     __slots__ = (
         "stats_hits",
@@ -103,7 +108,6 @@ class CacheCounters:
         "checkpoint_stores",
         "soa_hits",
         "soa_misses",
-        "soa_stores",
     )
 
     def __init__(self) -> None:
@@ -120,7 +124,6 @@ class CacheCounters:
         self.checkpoint_stores = 0
         self.soa_hits = 0
         self.soa_misses = 0
-        self.soa_stores = 0
 
 
 COUNTERS = CacheCounters()
@@ -178,7 +181,7 @@ def corpus_dir() -> pathlib.Path:
     The corpus lives beside the result caches so one knob
     (``REPRO_CACHE_DIR``) relocates everything, CI can cache it between
     runs, and ``cache info``/``cache clear`` account for it — but unlike
-    the stats/trace sections its entries are *inputs*, keyed by content
+    the stats/checkpoint sections its entries are *inputs*, keyed by content
     alone, and survive simulator edits (an interesting program stays
     interesting across timing-model changes).
     """
@@ -208,17 +211,12 @@ _DIGEST_MEMO: Dict[tuple, str] = {}
 
 
 def source_digest(kind: str = "stats") -> str:
-    """Digest of the sources feeding ``kind`` ("stats"/"trace"/"sampling").
+    """Digest of the sources feeding ``kind`` ("stats"/"sampling").
 
     Computed once per process; editing any hashed file between processes
     changes the digest and thereby every cache key.
     """
-    if kind == "sampling":
-        packages = _SAMPLING_SOURCE_PACKAGES
-    elif kind == "stats":
-        packages = _STATS_SOURCE_PACKAGES
-    else:
-        packages = _TRACE_SOURCE_PACKAGES
+    packages = _SAMPLING_SOURCE_PACKAGES if kind == "sampling" else _STATS_SOURCE_PACKAGES
     memo = _DIGEST_MEMO.get(packages)
     if memo is None:
         memo = _DIGEST_MEMO[packages] = _digest_packages(packages)
@@ -260,20 +258,6 @@ def stats_key(
         "source": source_digest("sampling" if sampling else "stats"),
     }
     blob = json.dumps(payload, sort_keys=True, default=str)
-    return hashlib.sha256(blob.encode()).hexdigest()
-
-
-def trace_key(name: str, scale: int, seed: int) -> str:
-    """Content-hash key for one functional trace."""
-    payload = {
-        "format": CACHE_FORMAT,
-        "kind": "trace",
-        "benchmark": name,
-        "scale": scale,
-        "seed": seed,
-        "source": source_digest("trace"),
-    }
-    blob = json.dumps(payload, sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
@@ -399,97 +383,42 @@ def store_stats(
 
 
 # ---------------------------------------------------------------------------
-# Trace entries
+# Retired trace/SoA entry points (kept only for perfbench's span targets)
 # ---------------------------------------------------------------------------
 
 
-def load_cached_trace(key: str) -> Optional[Trace]:
-    """The cached functional trace for ``key``, or None."""
-    if not cache_enabled():
-        return None
-    path = _traces_dir() / f"{key}.jsonl"
-    try:
-        with path.open() as handle:
-            trace = traceio.load_trace(handle)
-    except FileNotFoundError:
-        COUNTERS.trace_misses += 1
-        return None
-    except (traceio.TraceFormatError, ValueError, OSError):
-        COUNTERS.trace_misses += 1
-        try:
-            path.unlink()
-        except OSError:
-            pass
-        return None
-    COUNTERS.trace_hits += 1
-    return trace
+def load_cached_trace(key: str) -> None:
+    """Always None: traces are no longer persisted.
 
-
-def store_trace(key: str, trace: Trace) -> None:
-    """Persist a functional trace (atomic; no-op when disabled)."""
-    if not cache_enabled():
-        return
-    path = _traces_dir() / f"{key}.jsonl"
-    _atomic_write(path, traceio.dumps_trace(trace))
-    _corrupt_fault("trace", path)
-
-
-# ---------------------------------------------------------------------------
-# SoA entries (persisted TraceSoA predecodes; see Trace.soa)
-# ---------------------------------------------------------------------------
-
-
-def soa_key(name: str, scale: int, seed: int) -> str:
-    """Content-hash key for one persisted :class:`~repro.functional.trace.TraceSoA`.
-
-    Same determinants as :func:`trace_key` (the predecode is a pure
-    function of the trace, and everything feeding the predecode — isa
-    tables, trace layout — lives in the trace source packages) plus the
-    SoA layout version, so a column-format bump orphans old entries
-    without touching the trace section.
+    Kept only because ``perfbench/spans.py`` wraps this name; remove it
+    together with that span target.
     """
-    payload = {
-        "format": CACHE_FORMAT,
-        "kind": "soa",
-        "soa_format": traceio.SOA_FORMAT_VERSION,
-        "benchmark": name,
-        "scale": scale,
-        "seed": seed,
-        "source": source_digest("trace"),
-    }
-    blob = json.dumps(payload, sort_keys=True)
-    return hashlib.sha256(blob.encode()).hexdigest()
+    return None
 
 
-def load_soa(key: str):
-    """The cached predecode for ``key``, or None on miss/corruption."""
-    if not cache_enabled():
-        return None
-    path = _soa_dir() / f"{key}.soa"
-    try:
-        soa = traceio.loads_soa(path.read_text())
-    except FileNotFoundError:
-        COUNTERS.soa_misses += 1
-        return None
-    except (traceio.TraceFormatError, ValueError, OSError):
-        COUNTERS.soa_misses += 1
-        try:
-            path.unlink()
-        except OSError:
-            pass
-        return None
-    COUNTERS.soa_hits += 1
-    return soa
+def store_trace(key: str, trace) -> None:
+    """No-op: traces are no longer persisted.
+
+    Kept only because ``perfbench/spans.py`` wraps this name; remove it
+    together with that span target.
+    """
+
+
+def load_soa(key: str) -> None:
+    """Always None: trace predecodes are no longer persisted.
+
+    Kept only because ``perfbench/spans.py`` wraps this name; remove it
+    together with that span target.
+    """
+    return None
 
 
 def store_soa(key: str, soa) -> None:
-    """Persist a predecode (atomic; no-op when disabled)."""
-    if not cache_enabled():
-        return
-    path = _soa_dir() / f"{key}.soa"
-    _atomic_write(path, traceio.dumps_soa(soa))
-    COUNTERS.soa_stores += 1
-    _corrupt_fault("soa", path)
+    """No-op: trace predecodes are no longer persisted.
+
+    Kept only because ``perfbench/spans.py`` wraps this name; remove it
+    together with that span target.
+    """
 
 
 # ---------------------------------------------------------------------------
@@ -672,7 +601,9 @@ def campaign_ids() -> list:
 # ---------------------------------------------------------------------------
 
 
-#: section name -> (directory fn, payload suffixes).
+#: section name -> (directory fn, payload suffixes).  Nothing writes
+#: ``trace``/``soa`` any more; they stay so ``cache info``/``cache clear``
+#: can account for and reclaim entries left by older versions.
 _SECTIONS = {
     "stats": (_stats_dir, (".json",)),
     "trace": (_traces_dir, (".jsonl",)),
@@ -687,7 +618,7 @@ def cache_info() -> Dict:
     """Per-section entry counts and byte totals, for ``cache info``.
 
     Flat ``<section>_entries`` / ``<section>_bytes`` keys per section
-    (stats / trace / checkpoint) plus grand totals.
+    (every :data:`_SECTIONS` entry) plus grand totals.
     """
     info = {
         "root": str(cache_root()),

@@ -276,18 +276,19 @@ def resolve_jobs(jobs: Optional[int] = None) -> int:
 
 
 def _worker_warmup(benchmarks: Tuple[str, ...], scale: int):
-    """Pool warm-up task: pay the import + trace-load cost up front.
+    """Pool warm-up task: pay the import + trace-build cost up front.
 
-    Importing the simulator packages and materializing the functional
-    traces (disk-cached, predecoded) dominates a cold worker's first
-    task; running this once per worker moves that cost to service
-    start-up so request latency measures simulation, not imports.
-    Returns the worker pid so callers can count distinct warmed workers.
+    Importing the simulator packages and building the functional traces
+    and their predecodes (memoized in the worker, never persisted)
+    dominates a cold worker's first task; running this once per worker
+    moves that cost to service start-up so request latency measures
+    simulation, not imports.  Returns the worker pid so callers can
+    count distinct warmed workers.
     """
     from ..workloads.spec95 import cached_trace
 
     for name in benchmarks:
-        cached_trace(name, scale)
+        cached_trace(name, scale).soa()
     return os.getpid()
 
 

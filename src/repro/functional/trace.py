@@ -26,10 +26,8 @@ from .memory import MemoryImage
 
 Number = Union[int, float]
 
-#: process-wide count of :class:`TraceSoA` builds *from entries* (the
-#: full predecode scan).  Reconstructing from cached columns
-#: (:meth:`TraceSoA.from_columns`) does not count — the disk-cache tests
-#: use this to prove warm runs skip the functional re-decode.
+#: process-wide count of :class:`TraceSoA` builds (the full predecode
+#: scan) — tests use it to prove a memoized trace is decoded once.
 SOA_BUILDS = 0
 
 
@@ -118,20 +116,6 @@ class TraceSoA:
         "taken",
         "next_pc",
     )
-
-    @classmethod
-    def from_columns(cls, columns: dict) -> "TraceSoA":
-        """Rebuild a predecode from its persisted column arrays.
-
-        The inverse of :func:`repro.functional.traceio.dumps_soa`; skips
-        the per-entry scan entirely (and therefore does not count toward
-        :data:`SOA_BUILDS`).  The caller (traceio) has already validated
-        shape and versioning.
-        """
-        soa = cls.__new__(cls)
-        for name in cls.__slots__:
-            setattr(soa, name, columns[name])
-        return soa
 
     def __init__(self, entries: List["TraceEntry"]) -> None:
         global SOA_BUILDS

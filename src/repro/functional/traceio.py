@@ -5,8 +5,8 @@ self-contained simulation input — useful for regression fixtures (pin a
 trace, assert cycle counts), for sharing a misbehaving workload without
 its generator, and for offline analysis in other tools.
 
-The format (version 3) is packed and compressed — trace files dominate
-disk-cache size once experiment scales grow 10×:
+The format (version 3) is packed and compressed, so a pinned or shared
+trace stays small as scales grow:
 
 * line 1 — plain-JSON header: format version, entry count, halted flag,
   program listing length, backward-branch PCs;
@@ -16,9 +16,9 @@ disk-cache size once experiment scales grow 10×:
   better than row-major: every column is near-constant or slowly
   varying).
 
-Any other format version is rejected.  The disk cache keys traces by a
-digest of this module's source, so files written by an older layout are
-never looked up, and an unreadable one is a cache miss.
+Any other format version is rejected.  The disk cache does not store
+traces (rebuilding one is cheaper than a load); this format is for
+fixtures and exchange.
 
 Floats round-trip exactly (JSON numbers are IEEE doubles, the same type
 the simulator computes with, and zlib compression is lossless).  The
@@ -32,11 +32,9 @@ statistic — bit-for-bit.
 
 from __future__ import annotations
 
-import array
 import base64
 import io
 import json
-import sys
 import zlib
 from typing import IO, List, Union
 
@@ -44,15 +42,9 @@ from ..isa.instruction import Instruction
 from ..isa.opcodes import Opcode
 from ..isa.program import Program
 from .memory import MemoryImage
-from .trace import Trace, TraceEntry, TraceSoA
+from .trace import Trace, TraceEntry
 
 FORMAT_VERSION = 3
-
-#: layout version of the persisted :class:`TraceSoA` predecode.  Bumped
-#: whenever the SoA column set or element encoding changes; readers treat
-#: any other version as unreadable (the disk cache then rebuilds and
-#: rewrites the entry).
-SOA_FORMAT_VERSION = 1
 
 
 def pack_json(obj) -> str:
@@ -202,75 +194,3 @@ def loads_trace(text: Union[str, bytes]) -> Trace:
         text = text.decode("utf-8")
     return load_trace(io.StringIO(text))
 
-
-# ---------------------------------------------------------------------------
-# TraceSoA predecode (the disk cache's ``soa`` section)
-# ---------------------------------------------------------------------------
-
-
-def dumps_soa(soa: TraceSoA) -> str:
-    """Serialize a :class:`TraceSoA` predecode to two text lines.
-
-    Header line: plain JSON (SoA format version, entry count, byte order,
-    item size).  Body line: one Base85 string of the zlib-compressed
-    concatenation of every column as a packed ``array('q')`` — loading is
-    a C-speed ``frombytes``/``tolist`` per column, which is what makes a
-    warm load strictly cheaper than re-scanning the trace entries (every
-    column is integral; boolean columns ride as 0/1, which the consumers
-    only ever use as truth values).
-    """
-    header = {
-        "soa_format": SOA_FORMAT_VERSION,
-        "entries": len(soa.kind),
-        "byteorder": sys.byteorder,
-        "itemsize": array.array("q").itemsize,
-    }
-    raw = b"".join(
-        array.array("q", getattr(soa, name)).tobytes() for name in TraceSoA.__slots__
-    )
-    body = base64.b85encode(zlib.compress(raw, 6)).decode("ascii")
-    return json.dumps(header) + "\n" + body + "\n"
-
-
-def loads_soa(text: Union[str, bytes]) -> TraceSoA:
-    """Deserialize a predecode written by :func:`dumps_soa`.
-
-    Raises :class:`TraceFormatError` for any version mismatch, size
-    disagreement, or undecodable body — the disk cache maps every such
-    failure to a miss (rebuild and rewrite).
-    """
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
-    lines = text.splitlines()
-    if len(lines) < 2:
-        raise TraceFormatError("truncated soa payload")
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
-        raise TraceFormatError("bad soa header line") from exc
-    if not isinstance(header, dict) or header.get("soa_format") != SOA_FORMAT_VERSION:
-        raise TraceFormatError(
-            f"unsupported soa format "
-            f"{header.get('soa_format') if isinstance(header, dict) else header!r}"
-        )
-    n = header.get("entries")
-    itemsize = array.array("q").itemsize
-    if not isinstance(n, int) or n < 0 or header.get("itemsize") != itemsize:
-        raise TraceFormatError("bad soa header")
-    try:
-        raw = zlib.decompress(base64.b85decode(lines[1].strip().encode("ascii")))
-    except (ValueError, zlib.error) as exc:
-        raise TraceFormatError(f"bad packed soa body: {exc}") from exc
-    fields = TraceSoA.__slots__
-    width = n * itemsize
-    if len(raw) != width * len(fields):
-        raise TraceFormatError("bad soa body size")
-    swap = header.get("byteorder") != sys.byteorder
-    columns = {}
-    for i, name in enumerate(fields):
-        arr = array.array("q")
-        arr.frombytes(raw[i * width : (i + 1) * width])
-        if swap:
-            arr.byteswap()
-        columns[name] = arr.tolist()
-    return TraceSoA.from_columns(columns)

@@ -140,14 +140,18 @@ class Histogram:
         return numeric[-1][0]
 
     def to_payload(self) -> Dict:
-        # JSON object keys are strings; keep the original type in-band.
-        return {str(k): [("i" if isinstance(k, int) else "s"), v] for k, v in self.counts.items()}
+        # JSON object keys are strings; keep the original type in-band
+        # ("i" int, "f" float, "s" string) so numeric keys stay numeric.
+        return {
+            str(k): ["i" if isinstance(k, int) else "f" if isinstance(k, float) else "s", v]
+            for k, v in self.counts.items()
+        }
 
     @classmethod
     def from_payload(cls, payload: Dict) -> "Histogram":
         counts: Dict = {}
         for key, (tag, count) in payload.items():
-            counts[int(key) if tag == "i" else key] = count
+            counts[int(key) if tag == "i" else float(key) if tag == "f" else key] = count
         return cls(counts)
 
 

@@ -502,8 +502,9 @@ class SimulationService:
         self.metrics.counter("service.requests").inc()
         self.metrics.counter(f"service.requests.{route}").inc()
         self.metrics.counter(f"service.http.{status}").inc()
+        # 0.1 ms buckets: a memo hit answers well under a millisecond.
         self.metrics.histogram("service.latency_ms").observe(
-            int(elapsed * 1000)
+            round(elapsed * 1000, 1)
         )
 
 

@@ -263,39 +263,18 @@ def build(name: str, scale: int = DEFAULT_SCALE, seed: int = 0) -> Program:
 
 @lru_cache(maxsize=64)
 def cached_trace(name: str, scale: int = DEFAULT_SCALE, seed: int = 0) -> Trace:
-    """Build + functionally execute ``name``, memoized in-process and on disk.
+    """Build + functionally execute ``name``, memoized in-process.
 
     The experiment harness replays one functional trace through many timing
-    configurations (9 machine configs x 2 widths in Fig 11), so caching the
-    architectural execution cuts experiment time roughly 10x.  The disk
-    layer (:mod:`repro.experiments.diskcache`) extends that across
-    processes: a serialized trace round-trips bit-identically (including
-    per-PC control-flow direction — traceio format 2), so warm runs skip
-    program construction and functional execution entirely.  Callers must
-    treat the returned trace as immutable.
+    configurations (9 machine configs x 2 widths in Fig 11), so memoizing
+    the architectural execution cuts experiment time roughly 10x.  Traces
+    are not persisted: rebuilding one is cheaper than storing or loading
+    it (docs/PERFORMANCE.md, "Traces are rebuilt, not persisted").  The
+    first machine that replays the trace builds its predecode
+    (:meth:`Trace.soa`), which the memo then shares.  Callers must treat
+    the returned trace as immutable.
     """
-    # Imported here: workloads is a lower layer than experiments, and the
-    # cache module pulls in pipeline config for its keying.
-    from ..experiments import diskcache
-
-    key = diskcache.trace_key(name, scale, seed)
-    trace = diskcache.load_cached_trace(key)
-    if trace is None:
-        program = build(name, scale, seed)
-        trace = run_program(program, max_instructions=scale)
-        diskcache.store_trace(key, trace)
-        diskcache.store_soa(diskcache.soa_key(name, scale, seed), trace.soa())
-        return trace
-    # Warm trace: attach the persisted predecode too, so timing runs skip
-    # the per-entry SoA build (a cold/corrupt soa entry is rebuilt and
-    # rewritten here — the predecode is needed by every machine anyway).
-    soa_key = diskcache.soa_key(name, scale, seed)
-    soa = diskcache.load_soa(soa_key)
-    if soa is not None:
-        trace._soa = soa
-    else:
-        diskcache.store_soa(soa_key, trace.soa())
-    return trace
+    return run_program(build(name, scale, seed), max_instructions=scale)
 
 
 def is_fp_benchmark(name: str) -> bool:

@@ -5,8 +5,8 @@ miss — never an exception, never a wrong answer — and that the bad file
 is dropped so a clean rewrite takes its place.  The ``cache.store``
 fault site corrupts entries *as they are written*, which exercises the
 exact artifacts real torn writes leave behind (truncated JSON, foreign
-bytes, vanished files, orphaned ``*.tmp``) across all five sections:
-stats, traces, soa predecodes, checkpoints and the fuzz corpus.
+bytes, vanished files, orphaned ``*.tmp``) across every section that
+is still written: stats, checkpoints and the fuzz corpus.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import pytest
 from repro.experiments import diskcache, runner
 from repro.pipeline.stats import SimStats
 from repro.verify import faults
-from repro.workloads.spec95 import cached_trace
 
 CORRUPTIONS = ("truncate", "garbage", "delete")
 
@@ -42,8 +41,8 @@ def _corrupting(section, action):
 
 
 # Each case: (key, store, load, payload-equality predicate).  Assertions
-# are key-specific — other machinery (cached_trace) may legitimately
-# write its own entries into the same section.
+# are key-specific — other machinery may legitimately write its own
+# entries into the same section.
 def _stats_case():
     key = "deadbeef" * 8
     stats = SimStats()
@@ -52,29 +51,6 @@ def _stats_case():
         lambda: diskcache.store_stats(key, stats),
         lambda: diskcache.load_stats(key),
         lambda loaded: dataclasses.asdict(loaded) == dataclasses.asdict(stats),
-    )
-
-
-def _trace_case():
-    key = "cafebabe" * 8
-    trace = cached_trace("li", 1_500)  # obtained *before* any fault is armed
-    return (
-        key,
-        lambda: diskcache.store_trace(key, trace),
-        lambda: diskcache.load_cached_trace(key),
-        lambda loaded: len(loaded.entries) == len(trace.entries),
-    )
-
-
-def _soa_case():
-    key = "deadc0de" * 8
-    trace = cached_trace("li", 1_500)  # obtained *before* any fault is armed
-    soa = trace.soa()
-    return (
-        key,
-        lambda: diskcache.store_soa(key, soa),
-        lambda: diskcache.load_soa(key),
-        lambda loaded: loaded.kind == soa.kind and loaded.bkind == soa.bkind,
     )
 
 
@@ -102,8 +78,6 @@ def _corpus_case():
 
 CASES = {
     "stats": _stats_case,
-    "trace": _trace_case,
-    "soa": _soa_case,
     "checkpoint": _checkpoint_case,
     "corpus": _corpus_case,
 }
@@ -111,8 +85,6 @@ CASES = {
 #: section -> (cache subdirectory, entry suffix)
 LAYOUT = {
     "stats": ("stats", ".json"),
-    "trace": ("traces", ".jsonl"),
-    "soa": ("soa", ".soa"),
     "checkpoint": ("checkpoints", ".ckpt"),
     "corpus": ("corpus", ".json"),
 }

@@ -95,3 +95,19 @@ def test_cache_info_and_clear(cache_dir):
     assert info["stats_entries"] == 1 and info["stats_bytes"] > 0
     assert diskcache.clear_cache() >= 1
     assert diskcache.cache_info()["stats_entries"] == 0
+
+
+@pytest.mark.parametrize(
+    "section, subdir, suffix", [("trace", "traces", ".jsonl"), ("soa", "soa", ".soa")]
+)
+def test_legacy_trace_sections_are_counted_and_reclaimed(cache_dir, section, subdir, suffix):
+    # Older versions persisted traces and their predecode; nothing writes
+    # these sections now, but `cache info`/`cache clear` still reclaim them.
+    directory = cache_dir / subdir
+    directory.mkdir(parents=True)
+    (directory / f"{'ab' * 32}{suffix}").write_text("legacy\n")
+    (directory / f"{'cd' * 32}{suffix}.tmp").write_text("orphan\n")
+    info = diskcache.cache_info()
+    assert info[f"{section}_entries"] == 1 and info[f"{section}_bytes"] == 7
+    assert diskcache.clear_cache(section=section) == 2
+    assert list(directory.iterdir()) == []

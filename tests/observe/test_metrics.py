@@ -83,6 +83,23 @@ def test_dict_round_trip_preserves_types_and_values():
     assert again.counter("c").value == 4
 
 
+def test_float_histogram_keys_survive_the_payload_round_trip():
+    # Float keys (sub-millisecond latency buckets) must come back numeric,
+    # or quantile() skips them as labels after a merge.
+    reg = MetricsRegistry()
+    hist = reg.histogram("latency_ms")
+    for value in (0.3, 0.4, 0.4, 2.5):
+        hist.observe(value)
+    hist.observe(7)
+
+    back = MetricsRegistry.from_dict(reg.to_dict())
+    assert back.histogram("latency_ms").counts == {0.3: 1, 0.4: 2, 2.5: 1, 7: 1}
+    merged = MetricsRegistry()
+    merged.merge(reg.to_dict())
+    assert merged.histogram("latency_ms").quantile(0.5) == 0.4
+    assert merged.histogram("latency_ms").quantile(1.0) == 7
+
+
 def test_from_dict_rejects_unknown_kind():
     with pytest.raises(ValueError, match="unknown metric kind"):
         MetricsRegistry.from_dict({"x": {"kind": "exotic", "data": 1}})

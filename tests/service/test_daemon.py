@@ -51,6 +51,21 @@ def test_zero_repro_jobs_is_rejected(monkeypatch):
     assert _default_jobs() == 2  # the 2-worker floor still applies
 
 
+def test_sub_millisecond_latency_is_not_read_as_zero():
+    """Latency buckets are 0.1 ms, so fast memo hits report a real p50."""
+    from repro.service import ServiceConfig
+    from repro.service.server import SimulationService
+
+    service = SimulationService(ServiceConfig(jobs=2))
+    try:
+        for elapsed in (0.00031, 0.00038, 0.00042):
+            service.observe_request("run", 200, elapsed)
+        assert service.metrics_payload()["latency"]["p50_ms"] == 0.4
+        assert service._saturation_retry_after() == 1.0
+    finally:
+        service.shutdown()
+
+
 def test_sync_run_round_trip(daemon):
     """``POST /run`` answers a ``repro.run/v1`` envelope from a pool worker."""
     _, client = daemon()
