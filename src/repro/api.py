@@ -11,10 +11,10 @@ Entry points:
 * :func:`simulate` — one benchmark on one configuration →
   :class:`RunResult`;
 * :func:`grid` — a batch of :class:`GridPoint` coordinates fanned out
-  over the process pool (or any executor backend) → :class:`GridReport`;
+  over the process pool → :class:`GridReport`;
 * :func:`campaign` / :func:`campaign_resume` — resumable sweeps: the
   same batch with a persisted per-point manifest
-  (:mod:`repro.experiments.distributed`), so a killed run restarts and
+  (:mod:`repro.experiments.campaign`), so a killed run restarts and
   recomputes only missing/quarantined points;
 * :func:`trace` — one instrumented, cache-bypassing run capturing typed
   events → :class:`TraceReport` (JSONL-exportable);
@@ -60,14 +60,8 @@ from .experiments import diskcache
 from .experiments import figures as _figures
 from .experiments import parallel as _parallel
 from .experiments import runner as _runner
-from .experiments.distributed import (
-    CampaignResult,
-    ExecutorBackend,
-    LocalPoolBackend,
-    SubprocessBackend,
-    resolve_backend,
-)
-from .experiments.distributed import campaign as _campaign
+from .experiments import campaign as _campaign
+from .experiments.campaign import CampaignResult
 from .experiments.parallel import GridPoint, WorkerPool
 from .experiments.registry import FIGURES, FigureSpec, figure_names, get_figure
 from .observe import (
@@ -303,9 +297,8 @@ def simulate(
 def _accounting_dict(accounting: _parallel.GridReport) -> Dict:
     """The wire form of fabric accounting.
 
-    Distributed-backend fields (``nodes_lost`` / ``points_reassigned`` /
-    ``resume_skipped`` / ``nodes``) appear only when nonzero/nonempty,
-    so pool-path payloads stay bit-identical to the pre-backend era.
+    ``cancelled`` and ``resume_skipped`` appear only when set, so a
+    plain grid's payload carries exactly the fixed keys.
     """
     out = {
         "requested": accounting.requested,
@@ -320,14 +313,8 @@ def _accounting_dict(accounting: _parallel.GridReport) -> Dict:
     }
     if accounting.cancelled:
         out["cancelled"] = True
-    if accounting.nodes_lost:
-        out["nodes_lost"] = accounting.nodes_lost
-    if accounting.points_reassigned:
-        out["points_reassigned"] = accounting.points_reassigned
     if accounting.resume_skipped:
         out["resume_skipped"] = accounting.resume_skipped
-    if accounting.nodes:
-        out["nodes"] = accounting.nodes
     return out
 
 
@@ -380,7 +367,6 @@ def grid(
     task_timeout: Optional[float] = None,
     max_retries: Optional[int] = None,
     pool: Optional[_parallel.WorkerPool] = None,
-    backend=None,
     on_result=None,
     cancel=None,
 ) -> GridReport:
@@ -401,13 +387,6 @@ def grid(
     backoff and then quarantined into ``report.failures`` while the rest
     of the batch completes — check ``report.ok`` before trusting a full
     grid.  See :class:`repro.experiments.parallel.FaultPolicy`.
-
-    ``backend`` swaps the execution layer: an
-    :class:`ExecutorBackend` instance (caller-owned), or a name —
-    ``"local"`` (the process pool) / ``"subprocess"`` (``python -m repro
-    worker`` peers with node-level fault tolerance; ``jobs`` then counts
-    *nodes*).  See :mod:`repro.experiments.distributed` and
-    docs/PERFORMANCE.md §6.
 
     ``on_result(point, stats_dict)`` streams each point as it completes
     (cache hits immediately, computed points from inside the fabric);
@@ -432,7 +411,6 @@ def grid(
         task_timeout=task_timeout,
         max_retries=max_retries,
         pool=pool,
-        backend=backend,
         on_result=on_result,
         cancel=cancel,
     )
@@ -453,7 +431,7 @@ def grid(
 
 
 # ---------------------------------------------------------------------------
-# campaign (resumable sweeps; see repro.experiments.distributed)
+# campaign (resumable sweeps; see repro.experiments.campaign)
 # ---------------------------------------------------------------------------
 
 
@@ -523,7 +501,6 @@ class CampaignOutcome:
 def campaign(
     points: Iterable[Union[GridPoint, Sequence]],
     *,
-    backend=None,
     jobs: Optional[int] = None,
     sampling: SamplingLike = None,
     metrics: bool = False,
@@ -540,7 +517,7 @@ def campaign(
     and counted in ``accounting.resume_skipped`` / the
     ``dist.resume_skipped`` metric.  ``point_budget`` bounds this
     invocation to that many fresh points (huge sweeps in slices).  See
-    :mod:`repro.experiments.distributed.campaign`.
+    :mod:`repro.experiments.campaign`.
     """
     sampling = _coerce_sampling(sampling)
     normalized: List[GridPoint] = []
@@ -552,7 +529,6 @@ def campaign(
     registry = MetricsRegistry() if metrics else None
     result = _campaign.run_campaign(
         normalized,
-        backend=backend,
         jobs=jobs,
         metrics=registry,
         task_timeout=task_timeout,
@@ -565,7 +541,6 @@ def campaign(
 def campaign_resume(
     campaign_id: str,
     *,
-    backend=None,
     jobs: Optional[int] = None,
     metrics: bool = False,
     task_timeout: Optional[float] = None,
@@ -576,7 +551,6 @@ def campaign_resume(
     registry = MetricsRegistry() if metrics else None
     result = _campaign.resume_campaign(
         campaign_id,
-        backend=backend,
         jobs=jobs,
         metrics=registry,
         task_timeout=task_timeout,
@@ -741,7 +715,6 @@ def figure(
     task_timeout: Optional[float] = None,
     max_retries: Optional[int] = None,
     pool: Optional[_parallel.WorkerPool] = None,
-    backend=None,
     on_result=None,
     cancel=None,
 ) -> FigureResult:
@@ -762,7 +735,7 @@ def figure(
             report = grid(
                 points, jobs=jobs,
                 task_timeout=task_timeout, max_retries=max_retries,
-                pool=pool, backend=backend,
+                pool=pool,
                 on_result=on_result, cancel=cancel,
             )
             if not report.ok:
@@ -780,7 +753,6 @@ def headline(
     task_timeout: Optional[float] = None,
     max_retries: Optional[int] = None,
     pool: Optional[_parallel.WorkerPool] = None,
-    backend=None,
     on_result=None,
     cancel=None,
 ) -> Dict[str, float]:
@@ -793,7 +765,7 @@ def headline(
     report = grid(
         _figures.headline_points(scale, sampling), jobs=jobs,
         task_timeout=task_timeout, max_retries=max_retries,
-        pool=pool, backend=backend,
+        pool=pool,
         on_result=on_result, cancel=cancel,
     )
     if not report.ok:
@@ -866,7 +838,6 @@ __all__ = [
     "CampaignResult",
     "EXPERIMENT_SCALE",
     "EnvelopeError",
-    "ExecutorBackend",
     "FIGURES",
     "FigureResult",
     "FigureSpec",
@@ -874,7 +845,6 @@ __all__ = [
     "GridFailureError",
     "GridPoint",
     "GridReport",
-    "LocalPoolBackend",
     "OracleConfig",
     "RunResult",
     "SCHEMAS",
@@ -896,7 +866,6 @@ __all__ = [
     "SCHEMA_SERVICE_STATUS",
     "SCHEMA_TRACE",
     "SamplingConfig",
-    "SubprocessBackend",
     "TraceReport",
     "WorkerPool",
     "campaign",
@@ -910,7 +879,6 @@ __all__ = [
     "get_figure",
     "grid",
     "headline",
-    "resolve_backend",
     "schema_names",
     "simulate",
     "trace",

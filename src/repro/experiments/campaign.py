@@ -15,13 +15,13 @@ mid-sweep restarts cheaply: :func:`run_campaign` on the same points (or
 memo/disk cache without simulating (counted as
 ``GridReport.resume_skipped`` and the ``dist.resume_skipped`` metric),
 re-queues ``failed`` ones — quarantined points deserve a fresh retry
-budget on a new run — and computes the rest through whichever executor
-backend is attached.
+budget on a new run — and computes the rest on the process-pool fabric
+(:func:`repro.experiments.parallel.run_grid`).
 
 Even points the manifest missed (killed between checkpoints) cost only
 a disk-cache probe on resume: every completed simulation was stored by
-the worker that ran it, wherever it ran.  The manifest makes resume
-*accounting* exact; the cache makes resume *correctness* unconditional.
+the worker that ran it.  The manifest makes resume *accounting* exact;
+the cache makes resume *correctness* unconditional.
 """
 
 from __future__ import annotations
@@ -31,11 +31,10 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional
 
-from ...observe import MetricsRegistry
-from ...pipeline.stats import SimStats
-from .. import diskcache, parallel, runner
-from ..parallel import GridPoint, GridReport
-from . import protocol
+from ..observe import MetricsRegistry
+from ..pipeline.stats import SimStats
+from . import diskcache, parallel, runner
+from .parallel import GridPoint, GridReport
 
 #: manifest checkpoint cadence, in completed points.
 DEFAULT_CHECKPOINT_EVERY = 8
@@ -56,6 +55,22 @@ def point_cache_key(point: GridPoint) -> str:
         config,
         sampling.fingerprint() if sampling is not None else None,
     )
+
+
+def _point_to_wire(point) -> list:
+    """A GridPoint as a JSON-stable list (tuples survive the round trip)."""
+    wire = list(point)
+    if wire[6] is not None:
+        wire[6] = list(wire[6])
+    return wire
+
+
+def _point_from_wire(wire) -> tuple:
+    """Inverse of :func:`_point_to_wire` (returns the GridPoint field tuple)."""
+    fields = list(wire)
+    if fields[6] is not None:
+        fields[6] = tuple(fields[6])
+    return tuple(fields)
 
 
 def campaign_id(points: Iterable[GridPoint]) -> str:
@@ -101,7 +116,7 @@ class CampaignManifest:
             "campaign_id": self.campaign_id,
             "created": self.created,
             "updated": self.updated,
-            "points": [protocol.point_to_wire(point) for point in self.points],
+            "points": [_point_to_wire(point) for point in self.points],
             "state": list(self.state),
             "failures": {str(i): err for i, err in self.failures.items()},
         }
@@ -109,7 +124,7 @@ class CampaignManifest:
     @classmethod
     def from_payload(cls, payload: Dict) -> "CampaignManifest":
         points = [
-            GridPoint(*protocol.point_from_wire(wire)) for wire in payload["points"]
+            GridPoint(*_point_from_wire(wire)) for wire in payload["points"]
         ]
         state = [str(s) for s in payload["state"]]
         if len(state) != len(points) or any(s not in _STATES for s in state):
@@ -172,21 +187,14 @@ def _merge_report(master: GridReport, chunk: GridReport) -> None:
     master.simulated += chunk.simulated
     master.retries += chunk.retries
     master.pool_restarts += chunk.pool_restarts
-    master.nodes_lost += chunk.nodes_lost
-    master.points_reassigned += chunk.points_reassigned
     master.degraded_serial = master.degraded_serial or chunk.degraded_serial
     master.jobs = max(master.jobs, chunk.jobs)
     master.failed.extend(chunk.failed)
-    if chunk.nodes:
-        # Slot accounting is cumulative inside a persistent backend, so
-        # the latest snapshot supersedes earlier ones.
-        master.nodes = chunk.nodes
 
 
 def run_campaign(
     points: Iterable[GridPoint],
     *,
-    backend=None,
     jobs: Optional[int] = None,
     metrics: Optional[MetricsRegistry] = None,
     task_timeout: Optional[float] = None,
@@ -199,16 +207,13 @@ def run_campaign(
     If a manifest for these points already exists it is resumed: its
     ``done`` points are recovered from the memo/disk cache without
     simulation (``report.resume_skipped``), ``failed`` points get a
-    fresh retry budget, and only the remainder executes — through
-    ``backend`` (an :class:`~.backends.ExecutorBackend`, a name, or None
-    for the default local fabric).
+    fresh retry budget, and only the remainder executes on ``jobs``
+    worker processes (see :func:`repro.experiments.parallel.run_grid`).
 
     ``point_budget`` bounds this *invocation* to that many fresh points
     (the manifest checkpoint makes the rest resumable later) — the knob
     for running a huge sweep in bounded slices.
     """
-    from . import backends as _backends
-
     ordered: List[GridPoint] = []
     seen = set()
     for point in points:
@@ -223,73 +228,67 @@ def run_campaign(
         manifest = CampaignManifest.fresh(cid, ordered)
     index = {point: i for i, point in enumerate(manifest.points)}
 
-    owned = not isinstance(backend, _backends.ExecutorBackend)
-    backend = _backends.resolve_backend(backend, jobs=jobs)
-
+    jobs = parallel.resolve_jobs(jobs)
     report = GridReport()
     report.requested = len(ordered)
     report.unique = len(ordered)
-    report.jobs = backend.jobs
+    report.jobs = jobs
     results: Dict[GridPoint, SimStats] = {}
 
-    try:
-        # Phase 1 — recover previously-done points.  run_grid satisfies
-        # them from the memo/disk cache (the backend never engages: there
-        # is nothing cold), or honestly recomputes if the cache was wiped
-        # under the manifest.
-        done_points = [p for p in manifest.points if manifest.state[index[p]] == "done"]
-        if done_points:
-            recover = GridReport()
-            recovered = parallel.run_grid(
-                done_points,
-                backend=backend,
-                report=recover,
-                metrics=metrics,
-                task_timeout=task_timeout,
-                max_retries=max_retries,
-            )
-            results.update(recovered)
-            report.resume_skipped = recover.memo_hits + recover.disk_hits
-            _merge_report(report, recover)
-            for point in done_points:
-                if point not in recovered:
-                    manifest.state[index[point]] = "pending"  # cache lied; redo
+    # Phase 1 — recover previously-done points.  run_grid satisfies
+    # them from the memo/disk cache (no pool spawns: there is nothing
+    # cold), or honestly recomputes if the cache was wiped under the
+    # manifest.
+    done_points = [p for p in manifest.points if manifest.state[index[p]] == "done"]
+    if done_points:
+        recover = GridReport()
+        recovered = parallel.run_grid(
+            done_points,
+            jobs=jobs,
+            report=recover,
+            metrics=metrics,
+            task_timeout=task_timeout,
+            max_retries=max_retries,
+        )
+        results.update(recovered)
+        report.resume_skipped = recover.memo_hits + recover.disk_hits
+        _merge_report(report, recover)
+        for point in done_points:
+            if point not in recovered:
+                manifest.state[index[point]] = "pending"  # cache lied; redo
 
-        # Phase 2 — execute what remains, a checkpointed chunk at a time.
-        # Failed points re-enter with a fresh retry budget.
-        remaining = [
-            p for p in manifest.points if manifest.state[index[p]] != "done"
-        ]
-        if point_budget is not None:
-            remaining = remaining[: max(0, point_budget)]
-        chunk_size = max(1, checkpoint_every)
-        for start in range(0, len(remaining), chunk_size):
-            chunk = remaining[start:start + chunk_size]
-            chunk_report = GridReport()
-            chunk_results = parallel.run_grid(
-                chunk,
-                backend=backend,
-                report=chunk_report,
-                metrics=metrics,
-                task_timeout=task_timeout,
-                max_retries=max_retries,
-            )
-            results.update(chunk_results)
-            _merge_report(report, chunk_report)
-            for point in chunk:
-                if point in chunk_results:
-                    manifest.state[index[point]] = "done"
-                    manifest.failures.pop(index[point], None)
-            for failure in chunk_report.failed:
-                i = index.get(failure.point)
-                if i is not None:
-                    manifest.state[i] = "failed"
-                    manifest.failures[i] = failure.to_dict()
-            manifest.store()
+    # Phase 2 — execute what remains, a checkpointed chunk at a time.
+    # Failed points re-enter with a fresh retry budget.
+    remaining = [
+        p for p in manifest.points if manifest.state[index[p]] != "done"
+    ]
+    if point_budget is not None:
+        remaining = remaining[: max(0, point_budget)]
+    chunk_size = max(1, checkpoint_every)
+    for start in range(0, len(remaining), chunk_size):
+        chunk = remaining[start:start + chunk_size]
+        chunk_report = GridReport()
+        chunk_results = parallel.run_grid(
+            chunk,
+            jobs=jobs,
+            report=chunk_report,
+            metrics=metrics,
+            task_timeout=task_timeout,
+            max_retries=max_retries,
+        )
+        results.update(chunk_results)
+        _merge_report(report, chunk_report)
+        for point in chunk:
+            if point in chunk_results:
+                manifest.state[index[point]] = "done"
+                manifest.failures.pop(index[point], None)
+        for failure in chunk_report.failed:
+            i = index.get(failure.point)
+            if i is not None:
+                manifest.state[i] = "failed"
+                manifest.failures[i] = failure.to_dict()
         manifest.store()
-    finally:
-        if owned:
-            backend.close()
+    manifest.store()
 
     if metrics is not None and report.resume_skipped:
         metrics.counter("dist.resume_skipped").inc(report.resume_skipped)
@@ -301,7 +300,6 @@ def run_campaign(
 def resume_campaign(
     cid: str,
     *,
-    backend=None,
     jobs: Optional[int] = None,
     metrics: Optional[MetricsRegistry] = None,
     task_timeout: Optional[float] = None,
@@ -315,7 +313,6 @@ def resume_campaign(
         raise KeyError(f"no campaign manifest {cid!r} in the cache")
     return run_campaign(
         manifest.points,
-        backend=backend,
         jobs=jobs,
         metrics=metrics,
         task_timeout=task_timeout,

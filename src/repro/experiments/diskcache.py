@@ -18,8 +18,8 @@ bit for bit.  This module caches on disk:
   signature that earned them a slot.  Content-keyed only (no source
   digest — inputs outlive simulator edits);
 * **campaigns/** — resumable-campaign manifests
-  (:mod:`repro.experiments.distributed.campaign`): per-point state for
-  one content-hash-identified grid sweep.  Like the corpus, keyed by
+  (:mod:`repro.experiments.campaign`): per-point state for one
+  content-hash-identified grid sweep.  Like the corpus, keyed by
   identity rather than result (the per-point *results* live in
   ``stats/`` and carry the source digest; a manifest whose points went
   stale simply resolves to recomputation).
@@ -549,7 +549,7 @@ def corpus_keys() -> list:
 
 
 # ---------------------------------------------------------------------------
-# Campaign manifests (resumable sweeps; see experiments.distributed.campaign)
+# Campaign manifests (resumable sweeps; see experiments.campaign)
 # ---------------------------------------------------------------------------
 
 

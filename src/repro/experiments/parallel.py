@@ -55,7 +55,13 @@ nonzero exit.  The deterministic fault injector
 
 Worker count: the ``jobs`` argument, else ``$REPRO_JOBS``, else
 ``os.cpu_count()``.  ``jobs=1`` runs serially in-process (no pool, same
-results).  Zero or negative worker counts are rejected, not clamped.
+results) unless a shared :class:`WorkerPool` is attached, which always
+runs cold points in its worker processes.  Zero or negative worker
+counts are rejected, not clamped.
+
+This pool is the one execution fabric: the CLI, campaigns
+(:mod:`repro.experiments.campaign`) and the service daemon all reach it
+through :func:`run_grid`.
 """
 
 from __future__ import annotations
@@ -164,10 +170,7 @@ class TaskFailure:
     """One grid point that could not be computed within its retry budget."""
 
     point: GridPoint
-    #: "error" | "timeout" | "crash" for in-host failures; distributed
-    #: backends add the node-level kinds "node.lost" (the point's host
-    #: peers kept dying under it) and "node.unavailable" (every node
-    #: slot quarantined while the point was still queued).
+    #: "error" | "timeout" | "crash".
     kind: str
     error: str      #: last failure's description
     attempts: int   #: attempts charged before quarantine
@@ -219,11 +222,8 @@ class GridReport:
     #: gathered before the stop are still merged (and cached).
     cancelled: bool = False
     failed: List[TaskFailure] = field(default_factory=list)
-    #: distributed-backend accounting (all zero/empty on the pool path).
-    nodes_lost: int = 0
-    points_reassigned: int = 0
+    #: campaign points recovered from the cache instead of recomputed.
     resume_skipped: int = 0
-    nodes: List[Dict] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -240,10 +240,6 @@ class GridReport:
             text += f", {self.retries} retries"
         if self.pool_restarts:
             text += f", {self.pool_restarts} pool restarts"
-        if self.nodes_lost:
-            text += f", {self.nodes_lost} nodes lost"
-        if self.points_reassigned:
-            text += f", {self.points_reassigned} points reassigned"
         if self.resume_skipped:
             text += f", {self.resume_skipped} resumed from cache"
         if self.degraded_serial:
@@ -406,7 +402,6 @@ def run_grid(
     task_timeout: Optional[float] = None,
     max_retries: Optional[int] = None,
     pool: Optional[WorkerPool] = None,
-    backend=None,
     on_result=None,
     cancel=None,
 ) -> Dict[GridPoint, SimStats]:
@@ -440,13 +435,6 @@ def run_grid(
     service daemon relies on so a poisoned request can never take down
     the parent — where the default path would run it serially in-process.
 
-    ``backend`` swaps the execution layer for cache-cold points
-    entirely: an :class:`repro.experiments.distributed.ExecutorBackend`
-    instance (caller-owned — survives across calls), or a backend name
-    (``"local"`` / ``"subprocess"``, resolved and closed per call).
-    The memo/disk layers above are backend-agnostic, so a warm cache
-    never engages the backend at all.
-
     ``on_result``, when given, is called as ``on_result(point,
     stats_dict)`` for every point **as it completes** — cache hits fire
     immediately, computed points fire from inside the execution engine —
@@ -456,8 +444,8 @@ def run_grid(
 
     ``cancel``, when given, is a cooperative stop signal (anything with
     ``is_set()``, e.g. ``threading.Event``): once set, no further points
-    are dispatched, queued pool futures are cancelled, distributed peers
-    are torn down, and the batch returns early with
+    are dispatched, queued pool futures are cancelled, and the batch
+    returns early with
     ``report.cancelled = True``.  Points that completed before the stop
     are merged and cached as usual — a later identical grid reuses them.
     """
@@ -465,18 +453,7 @@ def run_grid(
     if report is None:
         report = GridReport()
     report.requested = len(points)
-    backend_obj = owned_backend = None
-    if backend is not None:
-        from .distributed.backends import ExecutorBackend, resolve_backend
-
-        if isinstance(backend, ExecutorBackend):
-            backend_obj = backend
-        else:
-            backend_obj = owned_backend = resolve_backend(
-                backend, jobs=jobs, pool=pool
-            )
-        jobs = backend_obj.jobs
-    elif pool is not None:
+    if pool is not None:
         jobs = pool.jobs
     else:
         jobs = resolve_jobs(jobs)
@@ -544,28 +521,10 @@ def run_grid(
         still_cold = []
 
     if still_cold:
-        try:
-            if backend_obj is not None:
-                extra = {}
-                if on_result is not None:
-                    extra["on_result"] = on_result
-                if cancel is not None:
-                    extra["cancel"] = cancel
-                computed = backend_obj.execute(
-                    still_cold,
-                    policy=policy,
-                    report=report,
-                    want_metrics=want_metrics,
-                    **extra,
-                )
-            else:
-                computed = _execute(
-                    still_cold, jobs, want_metrics, policy, report, pool,
-                    on_result=on_result, cancel=cancel,
-                )
-        finally:
-            if owned_backend is not None:
-                owned_backend.close()
+        computed = _execute(
+            still_cold, jobs, want_metrics, policy, report, pool,
+            on_result=on_result, cancel=cancel,
+        )
         # Merge in grid order, not completion order: gauges are
         # last-write-wins, so the aggregate must not depend on which
         # worker finished first.
@@ -583,9 +542,6 @@ def run_grid(
                 # The worker-side registry already includes the sim.* shim.
                 metrics.merge(point_metrics)
 
-    if owned_backend is not None:
-        owned_backend.close()  # idempotent; also closed on the error path
-
     if want_metrics:
         # Fabric-health counters: only materialized when nonzero, so a
         # clean run's registry stays bit-identical to the pre-fault era.
@@ -595,10 +551,6 @@ def run_grid(
             metrics.counter("grid.tasks_failed").inc(len(report.failed))
         if report.pool_restarts:
             metrics.counter("grid.pool_restarts").inc(report.pool_restarts)
-        if report.nodes_lost:
-            metrics.counter("dist.nodes_lost").inc(report.nodes_lost)
-        if report.points_reassigned:
-            metrics.counter("dist.points_reassigned").inc(report.points_reassigned)
 
     return results
 
@@ -646,9 +598,10 @@ def _execute(
     attempts: Dict[GridPoint, int] = {point: 0 for point in points}
     work = partial(_worker_run_point, want_metrics=want_metrics)
     remaining = list(points)
-    # A shared WorkerPool forces the pool path even for one point: its
-    # callers (the service) want process isolation, not just throughput.
-    if jobs > 1 and (len(points) > 1 or pool is not None):
+    # A shared WorkerPool forces the pool path even for one point and one
+    # worker: its callers (the service) want process isolation, not just
+    # throughput.
+    if pool is not None or (jobs > 1 and len(points) > 1):
         try:
             _execute_pool(
                 remaining, jobs, work, policy, attempts, outcomes, report, pool,

@@ -76,16 +76,12 @@ class Job:
         self.result: Optional[Dict] = None   #: terminal api envelope
         self.error: Optional[Dict] = None    #: repro.error/v1 object when failed
         self.dedup_hits = 0
-        #: live executor-maintained progress (e.g. the distributed
-        #: backend's per-node table); shown on ``/jobs/<id>`` while the
-        #: job runs, alongside the event stream.
-        self.progress: Dict = {}
         #: set by :meth:`JobManager.cancel` on a running job; executors
         #: plumb it down to the grid fabric as the cooperative stop signal.
         self.cancel_event = threading.Event()
         self.bus = TraceBus(capacity=4096)
         self._seq = itertools.count()
-        # Executor threads emit (point.result, dist.*) without the
+        # Executor threads emit point.result events without the
         # manager lock, so the bus's (emitted, events) pair needs its own
         # lock to stay coherent for the absolute-cursor reads below.
         self._bus_lock = threading.Lock()
@@ -161,8 +157,6 @@ class Job:
         }
         if self.cancel_event.is_set() and not self.terminal:
             job["cancelling"] = True
-        if self.progress:
-            job["progress"] = dict(self.progress)
         if include_result:
             job["result"] = self.result
         return {

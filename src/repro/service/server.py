@@ -95,11 +95,6 @@ class ServiceConfig:
     request_timeout: float = 300.0
     #: retry budget forwarded to the fault-tolerant fabric (None = env/default).
     max_retries: Optional[int] = None
-    #: executor backend for grid work: "local" (the shared worker pool)
-    #: or "subprocess" (node-loss-tolerant worker peers per job).
-    backend: str = "local"
-    #: subprocess-backend peers per job (None = the pool width).
-    backend_nodes: Optional[int] = None
     #: completed jobs kept for polling before eviction.
     job_history: int = 256
     #: benchmarks whose functional traces workers preload at warm-up.
@@ -301,51 +296,11 @@ class SimulationService:
 
     # -- job executors (run on JobManager threads) -------------------------
 
-    def _make_backend(self, job=None) -> "api.ExecutorBackend":
-        """The executor backend one grid batch runs on.
-
-        ``local`` wraps the shared warm pool; ``subprocess`` spins up a
-        fresh set of worker peers per job whose scheduler events are
-        mirrored onto the job (per-node progress on ``/jobs/<id>``).
-        The caller must :meth:`close` the returned backend (a no-op for
-        the pool wrapper — the pool outlives the request).
-        """
-        if self.config.backend == "subprocess":
-            return api.SubprocessBackend(
-                nodes=self.config.backend_nodes or self.pool.jobs,
-                progress=self._job_progress(job) if job is not None else None,
-            )
-        return api.LocalPoolBackend(pool=self.pool)
-
-    def _job_progress(self, job):
-        """Scheduler progress hook -> job event stream + per-node table."""
-
-        def hook(event: str, **data) -> None:
-            node = data.get("node")
-            if node is not None:
-                nodes = job.progress.setdefault("nodes", {})
-                entry = nodes.setdefault(
-                    str(node), {"completed": 0, "lost": 0, "state": "up"}
-                )
-                if event == "point.done":
-                    entry["completed"] += 1
-                elif event == "node.lost":
-                    entry["lost"] += 1
-                    entry["state"] = "lost"
-                elif event == "node.spawn":
-                    entry["state"] = "up"
-                    entry["generation"] = data.get("generation")
-                elif event == "node.quarantined":
-                    entry["state"] = "quarantined"
-            job.emit(f"dist.{event}", **data)
-
-        return hook
-
     def _job_results(self, job):
         """Per-point streaming hook: every completed grid point lands on
         the job bus as a ``point.result`` event carrying the point's full
         ``repro.run/v1`` envelope — cache hits immediately, computed
-        points as their worker/peer finishes — so
+        points as their worker finishes — so
         ``GET /jobs/<id>/events?results=1`` consumes a big grid
         incrementally instead of polling for one terminal blob."""
         if job is None:
@@ -379,18 +334,14 @@ class SimulationService:
             raise JobCancelled()
 
     def _grid_report(self, points, job=None):
-        backend = self._make_backend(job)
-        try:
-            return api.grid(
-                points,
-                backend=backend,
-                task_timeout=self.config.request_timeout,
-                max_retries=self.config.max_retries,
-                on_result=self._job_results(job),
-                cancel=self._job_cancel(job),
-            )
-        finally:
-            backend.close()
+        return api.grid(
+            points,
+            pool=self.pool,
+            task_timeout=self.config.request_timeout,
+            max_retries=self.config.max_retries,
+            on_result=self._job_results(job),
+            cancel=self._job_cancel(job),
+        )
 
     def _execute_grid(self, params: Dict, job=None) -> Dict:
         report = self._grid_report(params["points"], job)
@@ -398,13 +349,12 @@ class SimulationService:
         return report.to_dict()
 
     def _execute_figure(self, params: Dict, job=None) -> Dict:
-        backend = self._make_backend(job)
         try:
             result = api.figure(
                 params["figure"],
                 scale=params["scale"],
                 sampling=params["sampling"],
-                backend=backend,
+                pool=self.pool,
                 task_timeout=self.config.request_timeout,
                 max_retries=self.config.max_retries,
                 on_result=self._job_results(job),
@@ -415,18 +365,15 @@ class SimulationService:
         except api.GridFailureError as exc:
             self._check_cancelled(job)
             return wrap_error(exc.to_error())
-        finally:
-            backend.close()
         self._check_cancelled(job)
         return result.to_dict()
 
     def _execute_headline(self, params: Dict, job=None) -> Dict:
-        backend = self._make_backend(job)
         try:
             claims = api.headline(
                 scale=params["scale"],
                 sampling=params["sampling"],
-                backend=backend,
+                pool=self.pool,
                 task_timeout=self.config.request_timeout,
                 max_retries=self.config.max_retries,
                 on_result=self._job_results(job),
@@ -437,8 +384,6 @@ class SimulationService:
         except api.GridFailureError as exc:
             self._check_cancelled(job)
             return wrap_error(exc.to_error())
-        finally:
-            backend.close()
         self._check_cancelled(job)
         return {
             "schema": SCHEMA_HEADLINE,

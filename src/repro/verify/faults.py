@@ -20,19 +20,7 @@ degradation path on demand:
     (:func:`repro.verify.campaign.run_campaign`); context: ``index``;
   - ``cache.store`` — just *after* a disk-cache entry is written
     (:mod:`repro.experiments.diskcache`); context: ``section`` (one of
-    ``stats`` / ``checkpoint`` / ``corpus`` / ``campaign``);
-  - ``node.crash`` — a distributed worker peer receiving one task
-    (:mod:`repro.experiments.distributed.worker`); context: ``node``,
-    ``generation``, ``benchmark``, ``width``, ``ports``, ``mode``.
-    ``crash`` kills the peer mid-task (a lost node), ``hang`` wedges it,
-    ``raise`` surfaces as a transient task error frame;
-  - ``node.heartbeat`` — one heartbeat tick of a worker peer; context:
-    ``node``, ``generation``.  A matching ``raise`` silences the
-    heartbeat thread for good (a peer that is alive but unreachable);
-  - ``transport.garbage`` — a worker peer about to send one protocol
-    frame; context: ``node``, ``generation``, ``type`` (frame type).
-    ``garbage`` / ``truncate`` corrupt the outgoing frame bytes via
-    :func:`mangle_bytes`, which the scheduler must treat as a dead peer.
+    ``stats`` / ``checkpoint`` / ``corpus`` / ``campaign``).
 
 * **actions** — what happens when an armed spec matches a firing site:
 
@@ -256,33 +244,6 @@ def fire(site: str, **context) -> None:
             raise InjectedFault(
                 spec.message or f"injected fault at {site}: {spec.describe()}"
             )
-
-
-def mangle_bytes(site: str, data: bytes, **context) -> bytes:
-    """Apply any armed corruption fault to an in-memory byte frame.
-
-    The transport analogue of :func:`corrupt_file`: the distributed
-    worker passes every outgoing protocol frame through this hook so a
-    ``transport.garbage`` spec can simulate a flaky link.  ``garbage``
-    replaces the frame with undecodable noise, ``truncate`` keeps only
-    the first half (a torn write mid-frame); ``raise``/``crash``/``hang``
-    behave as at execution sites.  Returns ``data`` unchanged when
-    nothing matches.
-    """
-    for spec in _select(site, context):
-        if spec.action == "garbage":
-            data = b"\xff\xfenot a frame\x00" + data[: 4]
-        elif spec.action == "truncate":
-            data = data[: max(1, len(data) // 2)]
-        elif spec.action == "hang":
-            time.sleep(spec.delay)
-        elif spec.action == "crash":
-            os._exit(spec.exit_code)
-        elif spec.action == "raise":
-            raise InjectedFault(
-                spec.message or f"injected fault at {site}: {spec.describe()}"
-            )
-    return data
 
 
 def corrupt_file(site: str, path, **context) -> None:

@@ -21,7 +21,7 @@ import pytest
 
 from repro import api
 from repro.experiments import runner
-from repro.experiments.distributed import campaign_id, load_manifest
+from repro.experiments.campaign import campaign_id, load_manifest
 from repro.experiments.parallel import GridPoint, run_grid
 from repro.schemas import validate_envelope
 from repro.verify import faults

@@ -17,7 +17,7 @@ import json
 import pytest
 
 from repro.experiments import runner
-from repro.experiments.parallel import GridPoint, GridReport, run_grid
+from repro.experiments.parallel import GridPoint, GridReport, WorkerPool, run_grid
 from repro.observe import MetricsRegistry
 from repro.verify import faults
 
@@ -143,6 +143,48 @@ def test_worker_crash_salvages_the_grid_and_indicts_the_point(fresh_state, monke
     assert failure.kind == "crash"
     assert failure.attempts == 2
     assert report.pool_restarts >= 1
+
+
+def test_one_worker_shared_pool_still_runs_points_out_of_process(
+    fresh_state, monkeypatch
+):
+    # A shared pool means process isolation even at width one: no cold
+    # point may simulate in the caller, and a crasher is quarantined
+    # instead of taking the caller down with it.
+    monkeypatch.setenv(
+        "REPRO_FAULTS",
+        json.dumps([
+            {
+                "site": "grid.point",
+                "action": "crash",
+                "match": {"benchmark": "li", "mode": "V"},
+            }
+        ]),
+    )
+    pool = WorkerPool(1)
+    try:
+        before = runner.simulations_run()
+        report = GridReport()
+        results = run_grid([HEALTHY[0]], pool=pool, report=report)
+        assert set(results) == {HEALTHY[0]}
+        assert report.simulated == 1
+        assert runner.simulations_run() == before
+
+        report = GridReport()
+        results = run_grid([CRASHER], pool=pool, report=report, max_retries=1)
+        assert results == {}
+        (failure,) = report.failed
+        assert failure.point == CRASHER
+        assert failure.kind == "crash"
+        assert failure.attempts == 2
+
+        # The shared pool respawns for the next caller.
+        report = GridReport()
+        results = run_grid([HEALTHY[1]], pool=pool, report=report)
+        assert set(results) == {HEALTHY[1]}
+        assert runner.simulations_run() == before
+    finally:
+        pool.shutdown()
 
 
 def test_hung_task_times_out_and_the_rest_complete(fresh_state, monkeypatch):

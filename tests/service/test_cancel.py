@@ -1,9 +1,10 @@
 """``DELETE /jobs/<id>``: the cancellation path, end to end.
 
 Queued jobs move straight to terminal ``cancelled``; running jobs get a
-cooperative stop signal that the grid fabric observes — queued pool
-futures are cancelled, subprocess peers are torn down — and whatever
-completed first stays cached for the next identical request.
+cooperative stop signal that the worker pool observes — queued futures
+are cancelled and the shared pool is discarded around the stragglers —
+and whatever completed first stays cached for the next identical
+request.
 """
 
 from __future__ import annotations
@@ -185,54 +186,3 @@ class TestCancelRunning:
         accounting = final["job"]["result"]["accounting"]
         assert accounting["memo_hits"] + accounting["disk_hits"] >= 1
         assert accounting["simulated"] < len(body["points"])
-
-    def test_subprocess_backend_cancel_tears_down_nodes(
-        self, daemon, tmp_path, monkeypatch
-    ):
-        """Cancel a running subprocess-backed grid: the scheduler is
-        closed, every worker peer is reaped, and cached points survive
-        for the next identical grid."""
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-        monkeypatch.delenv("REPRO_FAULTS", raising=False)
-        from repro.experiments import runner
-
-        runner.clear_memo()
-        server, client = daemon(backend="subprocess", backend_nodes=2)
-        backends = []
-        make_backend = server.service._make_backend
-
-        def capture(job=None):
-            backend = make_backend(job)
-            backends.append(backend)
-            return backend
-
-        monkeypatch.setattr(server.service, "_make_backend", capture)
-
-        body = {"points": _slow_points()}
-        status, payload, _ = client.request("POST", "/grid", body)
-        assert status == 202
-        job_id = payload["job"]["id"]
-        _wait_first_result(server, job_id, timeout=120.0)
-
-        status, _, _ = client.request("DELETE", f"/jobs/{job_id}")
-        assert status in (200, 202)
-        final = client.wait_job(job_id, timeout=120.0)
-        assert final["job"]["state"] == "cancelled"
-
-        # Node teardown: the job's scheduler is closed and no peer
-        # process is left running.
-        assert backends, "executor never built a backend"
-        scheduler = backends[0].scheduler
-        assert scheduler._closed
-        for slot in scheduler._slots:
-            assert slot.peer is None, f"slot {slot.index} still holds a peer"
-
-        # Worker-side persistence: completed points were written to the
-        # shared disk cache before the teardown, so the identical grid
-        # reuses them.
-        status, payload, _ = client.request("POST", "/grid", body)
-        assert status == 202
-        final = client.wait_job(payload["job"]["id"], timeout=300.0)
-        assert final["job"]["state"] == "done"
-        accounting = final["job"]["result"]["accounting"]
-        assert accounting["memo_hits"] + accounting["disk_hits"] >= 1
