@@ -8,6 +8,12 @@ and a stage profiler alike (observation only reads clocks and counters).
 The ``pool`` case runs the same points through the worker-pool fabric
 from an empty disk cache: pickling results across the process boundary
 is transport, not semantics.
+
+Sampled mode has its own pin, ``sampled_fingerprints.json``: every
+benchmark under the three 4-wide 1-port modes at scale 6000, cut into a
+2000-entry head and two 500-entry windows, warmed in-process (no
+checkpoints).  How a window is carved out of the trace is mechanics; the
+weighted estimate it yields is not.
 """
 
 import dataclasses
@@ -21,14 +27,22 @@ from repro.experiments.parallel import GridPoint, GridReport, run_grid
 from repro.observe import MetricsRegistry, Observer, StageProfiler
 from repro.pipeline.config import make_config
 from repro.pipeline.machine import Machine
+from repro.sampling import SamplingConfig, run_sampled
 from repro.workloads.spec95 import ALL_BENCHMARKS, cached_trace
 
 #: the fingerprint grid: every benchmark under five machine shapes.
 GRID_CONFIGS = ((4, 1, "noIM"), (4, 1, "IM"), (4, 1, "V"), (8, 1, "V"), (4, 4, "V"))
 GRID_SCALE = 1500
 
-_FINGERPRINTS = json.loads(
-    (pathlib.Path(__file__).parent / "seed_fingerprints.json").read_text()
+#: the sampled grid: three modes per benchmark, sampled at a longer scale.
+SAMPLED_CONFIGS = ((4, 1, "noIM"), (4, 1, "IM"), (4, 1, "V"))
+SAMPLED_SCALE = 6000
+SAMPLING = SamplingConfig(window=500, interval=2000, use_checkpoints=False)
+
+_HERE = pathlib.Path(__file__).parent
+_FINGERPRINTS = json.loads((_HERE / "seed_fingerprints.json").read_text())
+_SAMPLED_FINGERPRINTS = json.loads(
+    (_HERE / "sampled_fingerprints.json").read_text()
 )
 
 
@@ -82,3 +96,25 @@ def test_sixty_point_grid_matches_pinned_fingerprints(path, tmp_path, monkeypatc
         assert dataclasses.asdict(stats) == pinned, (
             f"semantics drift at {name}/{width}w{ports}p{mode}"
         )
+
+
+def sampled_results():
+    """``{"<name>/<w>w<p>p/<mode>": asdict(SimStats)}`` over the sampled grid."""
+    results = {}
+    for name in ALL_BENCHMARKS:
+        trace = cached_trace(name, SAMPLED_SCALE)
+        for width, ports, mode in SAMPLED_CONFIGS:
+            stats = run_sampled(make_config(width, ports, mode), trace, SAMPLING)
+            results[f"{name}/{width}w{ports}p/{mode}"] = dataclasses.asdict(stats)
+    return results
+
+
+def test_sampled_grid_matches_pinned_fingerprints():
+    pinned = _SAMPLED_FINGERPRINTS
+    assert pinned["scale"] == SAMPLED_SCALE
+    assert pinned["sampling"] == SAMPLING.fingerprint()
+    results = sampled_results()
+    assert len(results) == len(pinned["points"]) == 36
+    for key, stats in results.items():
+        assert stats["sampled_windows"] == 3
+        assert stats == pinned["points"][key], f"sampled drift at {key}"
