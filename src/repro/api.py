@@ -65,14 +65,11 @@ from .experiments.campaign import CampaignResult
 from .experiments.parallel import GridPoint, WorkerPool
 from .experiments.registry import FIGURES, FigureSpec, figure_names, get_figure
 from .observe import (
+    CROSSCHECK_COUNTERS,
     MetricsRegistry,
     Observer,
-    SQUASH_COHERENCE,
-    TL_PROMOTE,
+    SAMPLE_WINDOW,
     TraceEvent,
-    VALIDATE_FAIL,
-    VALIDATE_PASS,
-    FLUSH_BRANCH,
 )
 from . import verify as _verify
 from .pipeline.machine import Machine
@@ -564,16 +561,6 @@ def campaign_resume(
 # trace
 # ---------------------------------------------------------------------------
 
-#: event kind -> SimStats counter it must equal (the cross-check contract).
-_CROSSCHECK_COUNTERS = {
-    TL_PROMOTE: "vector_load_instances",
-    VALIDATE_PASS: "validations_committed",
-    VALIDATE_FAIL: "validation_failures",
-    SQUASH_COHERENCE: "store_conflicts",
-    FLUSH_BRANCH: "branch_mispredicts",
-}
-
-
 @dataclass
 class TraceReport:
     """One instrumented run's captured events + capture accounting."""
@@ -586,20 +573,33 @@ class TraceReport:
         """Per-kind event counts vs the SimStats counters they mirror.
 
         Only kinds the bus subscribed to are checked (filtered kinds are
-        never counted).  Every ``match`` is True by construction; a False
-        is an instrumentation bug.
+        never counted).  A sampled run's ``SimStats`` are weighted
+        estimates, so its events are checked against the unweighted
+        counter sums of the detailed windows instead, which the last
+        ``sample.window`` event carries as ``totals``.  Every ``match``
+        is True by construction; a False is an instrumentation bug.
         """
         counts = self.bus_summary.get("counts", {})
         kinds = self.bus_summary.get("kinds")
+        reference = self._reference_counters()
         out: Dict[str, Dict] = {}
-        for kind, attr in _CROSSCHECK_COUNTERS.items():
+        for kind, attr in CROSSCHECK_COUNTERS.items():
             if kinds is not None and kind not in kinds:
                 continue
-            expected = getattr(self.result.stats, attr)
+            expected = reference[attr]
             got = counts.get(kind, 0)
             out[kind] = {"events": got, "counter": attr,
                          "expected": expected, "match": got == expected}
         return out
+
+    def _reference_counters(self) -> Dict[str, int]:
+        stats = self.result.stats
+        if stats.sampled_windows:
+            for event in reversed(self.events):
+                if event.kind == SAMPLE_WINDOW:
+                    return event.data["totals"]
+            raise ValueError("a sampled trace has no sample.window event")
+        return {attr: getattr(stats, attr) for attr in CROSSCHECK_COUNTERS.values()}
 
     def to_dict(self) -> Dict:
         return {
@@ -645,10 +645,15 @@ def trace(
 
     ``events`` filters by kind, group alias, or subsystem prefix (see
     :func:`repro.observe.resolve_event_kinds`); None captures everything.
+    A sampled trace always captures ``sample.window``: its events mark
+    the windows whose cycles and positions the other events count from,
+    and the last one carries the totals the cross-check compares with.
     """
     _check_benchmark(benchmark)
     sampling = _coerce_sampling(sampling)
     observer = Observer.tracing(events=events, capacity=capacity, metrics=metrics)
+    if sampling is not None and observer.bus.kinds is not None:
+        observer.bus.kinds |= {SAMPLE_WINDOW}
     kinds = observer.bus.kinds
     config = _runner.point_config(width, ports, mode, block_on_scalar_operand)
     instr_trace = _cached_trace(benchmark, scale)

@@ -892,7 +892,7 @@ class VectorizationEngine:
             demoted = self.tl.punish(pc)
         if bus is not None:
             bus.emit(
-                now, VALIDATE_FAIL, pc=pc, seq=fl.entry.seq,
+                now, VALIDATE_FAIL, pc=pc, seq=fl.seq,
                 elem=fl.velem,
                 reason="dead_register" if was_dead else "addr_mismatch"
                 if fl.pred_addr is not None else "operand_mismatch",
@@ -945,7 +945,7 @@ class VectorizationEngine:
             self.stats.validations_committed += 1
             if self._bus is not None:
                 self._bus.emit(
-                    now, VALIDATE_PASS, pc=fl.entry.pc, seq=fl.entry.seq,
+                    now, VALIDATE_PASS, pc=fl.entry.pc, seq=fl.seq,
                     elem=k, load=reg.is_load,
                 )
         if not reg.u_bits:

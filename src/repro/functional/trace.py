@@ -184,6 +184,18 @@ class TraceSoA:
             taken[i] = e.taken
             next_pc[i] = e.next_pc
 
+    def window(self, start: int, end: int) -> "TraceSoA":
+        """The predecode of entries ``[start, end)``, indexed from 0.
+
+        Every column is sliced; no entry is rescanned, so the view is not
+        counted in :data:`SOA_BUILDS`.  Sampled windows replay such views
+        of their parent trace's predecode.
+        """
+        view = TraceSoA.__new__(TraceSoA)
+        for name in TraceSoA.__slots__:
+            setattr(view, name, getattr(self, name)[start:end])
+        return view
+
 
 @dataclass
 class Trace:

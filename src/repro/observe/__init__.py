@@ -32,6 +32,7 @@ from typing import Iterable, Optional
 
 from .events import (
     CACHE_MISS,
+    CROSSCHECK_COUNTERS,
     coverage_signature,
     EVENT_GROUPS,
     EVENT_KINDS,
@@ -141,4 +142,5 @@ __all__ = [
     "MSHR_MERGE",
     "FETCH_REDIRECT",
     "SAMPLE_WINDOW",
+    "CROSSCHECK_COUNTERS",
 ]

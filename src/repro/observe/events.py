@@ -81,6 +81,16 @@ EVENT_KINDS = frozenset(
     )
 )
 
+#: event kind -> the ``SimStats`` counter its emission count must equal
+#: (the cross-check contract; see :meth:`repro.api.TraceReport.crosscheck`).
+CROSSCHECK_COUNTERS: Dict[str, str] = {
+    TL_PROMOTE: "vector_load_instances",
+    VALIDATE_PASS: "validations_committed",
+    VALIDATE_FAIL: "validation_failures",
+    SQUASH_COHERENCE: "store_conflicts",
+    FLUSH_BRANCH: "branch_mispredicts",
+}
+
 #: CLI-friendly group aliases: ``--events validation,squash`` expands
 #: through this table; any exact kind or ``<subsystem>`` prefix works too.
 EVENT_GROUPS: Dict[str, Tuple[str, ...]] = {

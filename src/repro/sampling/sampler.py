@@ -28,11 +28,10 @@ telemetry.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import replace
 from typing import Dict, List, Optional, Tuple
 
 from ..functional.trace import Trace
-from ..observe.events import SAMPLE_WINDOW
+from ..observe.events import CROSSCHECK_COUNTERS, SAMPLE_WINDOW
 from ..pipeline.config import MachineConfig
 from ..pipeline.machine import Machine
 from ..pipeline.stats import SimStats
@@ -86,19 +85,25 @@ def window_spans(
 def _window_trace(trace: Trace, start: int, end: int, state: WarmState) -> Trace:
     """A self-contained sub-trace for one detailed window.
 
-    Entries are re-sequenced from 0 because ``seq`` doubles as the fetch
-    unit's trace index (``FetchUnit.redirect`` jumps to ``seq``); the
-    window's initial memory is the warmed architectural image, which is
-    what the detailed machine's commit-time memory would hold here.
+    The window is a view of the parent: its entries are the parent's own
+    ``TraceEntry`` objects ``[start, end)`` and its predecode is the
+    parent's memoized :meth:`~Trace.soa` sliced to the same range, so
+    cutting a window copies no entry and rescans nothing.  Positions are
+    window-local: the machine indexes entries and predecode by fetch
+    index (``FetchUnit.redirect`` jumps to it), while each entry keeps
+    its ``seq`` in the parent trace.  The window's initial memory is the
+    warmed architectural image, which is what the detailed machine's
+    commit-time memory would hold here.
     """
-    entries = [replace(e, seq=i) for i, e in enumerate(trace.entries[start:end])]
-    return Trace(
+    window = Trace(
         program=trace.program,
-        entries=entries,
+        entries=trace.entries[start:end],
         initial_memory=state.memory,
         final_memory=trace.final_memory,
         halted=True,
     )
+    window._soa = trace.soa().window(start, end)
+    return window
 
 
 class _Aggregate:
@@ -170,7 +175,10 @@ def run_sampled(
     every window's machine; the sampler additionally emits one
     ``sample.window`` event per detailed window and records the
     per-window IPC distribution as a ``sampled.window.ipc`` series
-    (x = window start position in the full trace).
+    (x = window start position in the full trace).  Each event's
+    ``totals`` sums the cross-checked counters, unweighted, over this
+    and every earlier window, so the last event alone holds what the
+    run's events must add up to, even after the ring dropped the rest.
     """
     sampling = sampling or SamplingConfig()
     n = len(trace.entries)
@@ -193,6 +201,7 @@ def run_sampled(
     state = WarmState.cold(config, trace)
     checkpoint_restores = 0
     aggregate = _Aggregate()
+    totals = dict.fromkeys(CROSSCHECK_COUNTERS.values(), 0)
     spans = window_spans(n, sampling)
     for start, end, weight in spans:
         if start > state.position:
@@ -234,10 +243,13 @@ def run_sampled(
         aggregate.add(window_stats, weight)
         if observer is not None:
             if observer.bus is not None:
+                for name in totals:
+                    totals[name] += getattr(window_stats, name)
                 observer.bus.emit(
                     window_stats.cycles, SAMPLE_WINDOW,
                     start=start, end=end, weight=round(weight, 6),
                     cycles=window_stats.cycles, ipc=round(window_stats.ipc, 6),
+                    totals=dict(totals),
                 )
             if observer.metrics is not None:
                 observer.metrics.series("sampled.window.ipc").append(

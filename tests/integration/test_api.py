@@ -90,6 +90,31 @@ def test_trace_captures_events_and_cross_checks():
     json.dumps(payload)
 
 
+@pytest.mark.parametrize("mode", ["V", "IM"])
+def test_sampled_trace_cross_checks_against_the_detailed_windows(mode):
+    # Sampled SimStats are weighted estimates; the events must instead
+    # add up to the unweighted counters of the windows that ran.
+    report = api.trace("swim", mode=mode, scale=6_000, sampling=(500, 2_000))
+    assert report.result.stats.sampled_windows == 3
+    checks = report.crosscheck()
+    assert len(checks) == 5
+    assert all(check["match"] for check in checks.values()), checks
+    assert checks["flush.branch"]["events"] > 0
+
+
+def test_sampled_trace_cross_checks_under_a_filter_and_a_full_ring():
+    report = api.trace(
+        "swim", scale=6_000, sampling=(300, 1_500),
+        events=["validation"], capacity=4,
+    )
+    assert report.bus_summary["dropped"] > 0
+    assert "sample.window" in report.bus_summary["kinds"]
+    checks = report.crosscheck()
+    assert set(checks) == {"validate.pass", "validate.fail"}
+    assert all(check["match"] for check in checks.values()), checks
+    assert checks["validate.pass"]["events"] > 0
+
+
 def test_trace_rejects_unknown_event_filter():
     with pytest.raises(ValueError, match="unknown event filter"):
         api.trace("li", scale=SCALE, events=["bogus"])

@@ -4,8 +4,11 @@ import pytest
 
 from repro.experiments import diskcache
 from repro.experiments.runner import point_config
+from repro.functional import trace as trace_module
+from repro.functional.trace import TraceSoA
 from repro.pipeline.machine import Machine
-from repro.sampling import SamplingConfig, run_sampled, window_spans
+from repro.sampling import SamplingConfig, WarmState, run_sampled, window_spans
+from repro.sampling.sampler import _window_trace
 from repro.workloads.spec95 import cached_trace
 
 #: SimStats fields expected to differ between exact and sampled runs even
@@ -142,6 +145,42 @@ def test_empty_trace_returns_empty_stats():
     trace = Trace(program=program, entries=[], initial_memory={}, final_memory={})
     stats = run_sampled(point_config(4, 1, "noIM"), trace)
     assert stats.committed == 0 and stats.cycles == 0
+
+
+# ---------------------------------------------------------------------------
+# windows are views of the parent trace
+# ---------------------------------------------------------------------------
+
+
+def test_window_shares_the_parent_entries_and_predecode():
+    trace = cached_trace("swim", 6000)
+    start, end = 3500, 4000
+    window = _window_trace(
+        trace, start, end, WarmState.cold(point_config(4, 1, "V"), trace)
+    )
+    assert len(window.entries) == end - start
+    assert all(
+        mine is theirs
+        for mine, theirs in zip(window.entries, trace.entries[start:end])
+    )
+    # The sliced predecode equals a fresh scan of the window's entries.
+    rebuilt = TraceSoA(window.entries)
+    view = window.soa()
+    for name in TraceSoA.__slots__:
+        assert getattr(view, name) == getattr(rebuilt, name), name
+
+
+def test_sampled_run_never_rebuilds_the_predecode():
+    trace = cached_trace("compress", 6000)
+    trace.soa()
+    before = trace_module.SOA_BUILDS
+    stats = run_sampled(
+        point_config(4, 1, "IM"),
+        trace,
+        SamplingConfig(window=300, interval=1500, use_checkpoints=False),
+    )
+    assert stats.sampled_windows > 1
+    assert trace_module.SOA_BUILDS == before
 
 
 # ---------------------------------------------------------------------------
