@@ -594,12 +594,10 @@ class TraceReport:
 
     def _reference_counters(self) -> Dict[str, int]:
         stats = self.result.stats
-        if stats.sampled_windows:
-            for event in reversed(self.events):
-                if event.kind == SAMPLE_WINDOW:
-                    return event.data["totals"]
-            raise ValueError("a sampled trace has no sample.window event")
-        return {attr: getattr(stats, attr) for attr in CROSSCHECK_COUNTERS.values()}
+        if not stats.sampled_windows:
+            return {attr: getattr(stats, attr) for attr in CROSSCHECK_COUNTERS.values()}
+        last = next(e for e in reversed(self.events) if e.kind == SAMPLE_WINDOW)
+        return last.data["totals"]
 
     def to_dict(self) -> Dict:
         return {
